@@ -17,13 +17,15 @@ address-translation support.  The MACO paper's criticism of this design point
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.baselines.common import BaselineModel
-from repro.core.mapping import partition_gemm
 from repro.core.metrics import WorkloadResult
-from repro.core.perf import estimate_node_gemm_cached, memory_environment
+from repro.core.perf import (
+    memory_environment,
+    slowest_partition_seconds,
+    unmapped_memory_environment,
+)
 from repro.cpu.core import CPUCore
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMWorkload
@@ -50,22 +52,16 @@ class GemminiLikeBaseline(BaselineModel):
             raise ValueError(f"num_nodes must be in 1..{self.config.num_nodes}")
         precision = workload.shapes[0].precision if workload.shapes else Precision.FP32
 
-        env = memory_environment(self.config, nodes)
         # Without stash/lock the accelerator cannot keep its re-read working set
         # resident in the shared L3 (same collapse as Baseline-2).
-        env = replace(env, l3_share_bytes=max(env.l3_share_bytes * 0.125, 64 * 1024))
+        env = unmapped_memory_environment(memory_environment(self.config, nodes))
 
         gemm_seconds = 0.0
         gemm_flops = 0
         for shape in workload:
-            plan = partition_gemm(shape, nodes)
-            layer_seconds = 0.0
-            for assignment in plan.assignments:
-                timing = estimate_node_gemm_cached(
-                    self.config, assignment.shape, active_nodes=nodes,
-                    prediction_enabled=False, env=env,
-                )
-                layer_seconds = max(layer_seconds, timing.seconds)
+            layer_seconds = slowest_partition_seconds(
+                self.config, shape, nodes, env, prediction_enabled=False,
+            )
             gemm_seconds += layer_seconds / self.utilization_ceiling + self.host_sync_overhead_s
             gemm_flops += shape.flops
 

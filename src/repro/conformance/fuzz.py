@@ -31,7 +31,16 @@ the properties the repo stakes out as exact:
 * ``percentile`` — the ``np.partition`` fast path is bit-identical to the
   sorted nearest-rank reference on either side of the size threshold;
 * ``trace-roundtrip`` — vectorized trace generators match their scalar twins
-  element for element and traces survive a records round-trip.
+  element for element and traces survive a records round-trip;
+* ``timing-cache-parity`` — the explorer's per-phase seconds through the
+  shared ``TimingCache`` equal, bit for bit, the slowest of *every*
+  ``partition_gemm`` assignment timed uncached (layers narrower than the
+  fleet included), and equal but distinct config/environment objects share
+  one cache entry;
+* ``breakdown-conservation`` — every ``GEMMTimingBreakdown`` component is
+  finite and non-negative, and overlapped (``max(compute, DMA)``) +
+  translation stall + fill + setup reproduces ``total_cycles`` exactly in the
+  model's summation order.
 
 Everything is seeded stdlib :mod:`random` (no new dependency): case ``i`` of
 run seed ``S`` draws from ``random.Random(f"{S}:{i}")``, and kinds rotate
@@ -43,6 +52,7 @@ parameter set that still fails and reported as a replayable JSON spec
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -640,6 +650,157 @@ def _check_trace_roundtrip(spec: ScenarioSpec) -> None:
         )
 
 
+# ------------------------------------------------------- timing-cache-parity
+def _sample_timing_cache_parity(rng: random.Random) -> ScenarioSpec:
+    return _spec(
+        "timing-cache-parity",
+        workload=rng.choice(_catalog_names()),
+        precision=rng.choice(["fp64", "fp32", "fp16"]),
+        sa=rng.choice([2, 4, 8, 16]),
+        buffer_kb=rng.choice([16, 32, 64, 128, 256]),
+        num_nodes=rng.randint(1, 16),
+        prediction=rng.random() < 0.5,
+        narrow=rng.randint(0, 3),
+        narrow_seed=rng.randint(0, 9999),
+    )
+
+
+def _every_assignment_seconds(config, shapes, env) -> float:
+    """Sum over ``shapes`` of the slowest *every*-assignment estimate, uncached."""
+    from repro.core.mapping import partition_gemm
+    from repro.core.perf import estimate_node_gemm
+
+    total = 0.0
+    for shape in shapes:
+        total += max(
+            estimate_node_gemm(config, assignment.shape, active_nodes=config.num_nodes,
+                               env=env).seconds
+            for assignment in partition_gemm(shape, config.num_nodes).assignments
+        )
+    return total
+
+
+def _check_timing_cache_parity(spec: ScenarioSpec) -> None:
+    from repro.core import DesignPoint, DesignSpaceExplorer, TimingCache, memory_environment
+    from repro.gemm.precision import Precision
+    from repro.gemm.workloads import GEMMShape
+    from repro.workloads import workload_graph_by_name
+
+    precision = Precision.from_string(str(spec.param("precision")))
+    graph = workload_graph_by_name(str(spec.param("workload")), precision)
+    sa = int(spec.param("sa"))
+    point = DesignPoint(
+        name="fuzz", sa_rows=sa, sa_cols=sa, buffer_kb=int(spec.param("buffer_kb")),
+        num_nodes=int(spec.param("num_nodes")), prediction_enabled=bool(spec.param("prediction")),
+    )
+    explorer = DesignSpaceExplorer()
+    config = point.to_config()
+    env = memory_environment(config, config.num_nodes)
+    cache = _shared_cache()
+
+    result = explorer.evaluate_graph(point, graph, cache=cache)
+    for phase, phase_result in zip(graph.phases, result.phases):
+        reference = _every_assignment_seconds(config, phase.shapes, env) * phase.repeat
+        if phase_result.seconds != reference:
+            raise ScenarioFailure(
+                f"{graph.name} on {point}: phase {phase.name!r} took {phase_result.seconds!r} s "
+                f"through the cache, {reference!r} s over every assignment uncached"
+            )
+
+    # Layers narrower than the fleet leave nodes idle (split extent < nodes).
+    rng = random.Random(int(spec.param("narrow_seed")))
+    widest = max(1, config.num_nodes - 1)
+    narrow = [
+        GEMMShape(rng.randint(1, widest), rng.randint(1, widest), rng.randint(1, 512), precision)
+        for _ in range(int(spec.param("narrow")))
+    ]
+    if narrow:
+        seconds = explorer.evaluate(point, narrow, cache=cache).seconds
+        reference = _every_assignment_seconds(config, narrow, env)
+        if seconds != reference:
+            raise ScenarioFailure(
+                f"{narrow} on {point}: {seconds!r} s through the cache, {reference!r} s over "
+                "every assignment uncached"
+            )
+
+    # Equal values key one entry, however many objects carry them.
+    misses = cache.misses
+    explorer.evaluate_graph(point, graph, cache=cache)
+    if cache.misses != misses:
+        raise ScenarioFailure(
+            f"{graph.name} on {point}: re-evaluating with equal but distinct config and "
+            f"environment objects missed the cache {cache.misses - misses} time(s)"
+        )
+    fresh = TimingCache()
+    shape = graph.phases[0].shapes[0]
+    for twin in (config, point.to_config()):
+        fresh.estimate(twin, shape, active_nodes=twin.num_nodes,
+                       env=memory_environment(twin, twin.num_nodes))
+    if (len(fresh), fresh.hits, fresh.misses) != (1, 1, 1):
+        raise ScenarioFailure(
+            f"{point}: equal config/environment twins made {len(fresh)} cache entries "
+            f"({fresh.hits} hits, {fresh.misses} misses), expected one"
+        )
+
+
+# ---------------------------------------------------- breakdown-conservation
+def _sample_breakdown_conservation(rng: random.Random) -> ScenarioSpec:
+    def extent() -> int:
+        return int(round(2 ** rng.uniform(0.0, 13.0)))
+
+    return _spec(
+        "breakdown-conservation",
+        m=extent(),
+        n=extent(),
+        k=extent(),
+        precision=rng.choice(["fp64", "fp32", "fp16"]),
+        prediction=rng.random() < 0.5,
+        active_nodes=rng.randint(1, 16),
+        mapped=rng.random() < 0.5,
+    )
+
+
+def _check_breakdown_conservation(spec: ScenarioSpec) -> None:
+    from repro.core.perf import (
+        estimate_node_gemm,
+        memory_environment,
+        unmapped_memory_environment,
+    )
+    from repro.gemm.precision import Precision
+    from repro.gemm.workloads import GEMMShape
+
+    shape = GEMMShape(int(spec.param("m")), int(spec.param("n")), int(spec.param("k")),
+                      Precision.from_string(str(spec.param("precision"))))
+    config = _shared_config()
+    env = memory_environment(config, int(spec.param("active_nodes")))
+    if not spec.param("mapped"):
+        env = unmapped_memory_environment(env)
+    timing = estimate_node_gemm(config, shape, prediction_enabled=bool(spec.param("prediction")),
+                                env=env)
+    where = f"{shape} prediction={spec.param('prediction')} env={env}"
+    components = ("compute_cycles", "dma_l3_cycles", "dma_dram_cycles", "exposed_dma_cycles",
+                  "translation_stall_cycles", "setup_cycles", "fill_cycles", "total_cycles")
+    for name in components:
+        value = getattr(timing, name)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ScenarioFailure(f"{where}: {name} = {value!r} is not finite and >= 0")
+    # The model's own summation order (repro.mmae.dataflow.estimate_gemm_timing).
+    dma = max(timing.dma_l3_cycles, timing.dma_dram_cycles)
+    overlapped = max(timing.compute_cycles, dma)
+    total = overlapped + timing.translation_stall_cycles + timing.fill_cycles + \
+        timing.setup_cycles
+    if total != timing.total_cycles:
+        raise ScenarioFailure(
+            f"{where}: overlapped + translation stall + fill + setup = {total!r} != "
+            f"total_cycles {timing.total_cycles!r}"
+        )
+    if timing.exposed_dma_cycles != max(0.0, dma - timing.compute_cycles):
+        raise ScenarioFailure(
+            f"{where}: exposed DMA {timing.exposed_dma_cycles!r} is not the DMA time "
+            f"{dma!r} left over after compute {timing.compute_cycles!r}"
+        )
+
+
 # ----------------------------------------------------------------- registry
 @dataclass(frozen=True)
 class _Kind:
@@ -675,6 +836,12 @@ SCENARIO_KINDS: Dict[str, _Kind] = {
               (("size", 1), ("scale", 1.0), ("q", 50.0))),
         _Kind("trace-roundtrip", _sample_trace_roundtrip, _check_trace_roundtrip,
               (("tenants", 1), ("duration", 1.0), ("rate", 1.0))),
+        _Kind("timing-cache-parity", _sample_timing_cache_parity, _check_timing_cache_parity,
+              (("narrow", 0), ("num_nodes", 1), ("workload", "bert"), ("sa", 4),
+               ("buffer_kb", 64), ("prediction", True))),
+        _Kind("breakdown-conservation", _sample_breakdown_conservation,
+              _check_breakdown_conservation,
+              (("active_nodes", 1), ("mapped", True), ("prediction", True))),
     )
 }
 

@@ -27,6 +27,7 @@ from repro.core.mapping import (
     NodeAssignment,
     GemmPlusSchedule,
     partition_gemm,
+    partition_shapes,
     partition_workload,
     schedule_gemm_plus,
 )
@@ -48,6 +49,7 @@ from repro.core.perf import (
     memory_environment,
     noc_contention_model,
     node_peak_gflops,
+    slowest_partition_seconds,
     sweep_prediction,
     sweep_scalability,
     unmapped_memory_environment,
@@ -82,6 +84,7 @@ __all__ = [
     "NodeAssignment",
     "GemmPlusSchedule",
     "partition_gemm",
+    "partition_shapes",
     "partition_workload",
     "schedule_gemm_plus",
     "NodeResult",
@@ -100,6 +103,7 @@ __all__ = [
     "memory_environment",
     "noc_contention_model",
     "node_peak_gflops",
+    "slowest_partition_seconds",
     "sweep_prediction",
     "sweep_scalability",
     "unmapped_memory_environment",

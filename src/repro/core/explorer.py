@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import MACOConfig, maco_default_config
-from repro.core.mapping import partition_gemm
-from repro.core.perf import TimingCache, estimate_node_gemm_cached, memory_environment
+from repro.core.perf import TimingCache, memory_environment, slowest_partition_seconds
 from repro.gemm.precision import Precision
 from repro.gemm.tiling import TileConfig
 from repro.gemm.workloads import GEMMShape, GEMMWorkload
@@ -309,14 +308,9 @@ class DesignSpaceExplorer:
         total_seconds = 0.0
         total_flops = 0
         for shape in shapes:
-            plan = partition_gemm(shape, config.num_nodes)
-            layer_seconds = max(
-                estimate_node_gemm_cached(
-                    config, assignment.shape, active_nodes=config.num_nodes, env=env, cache=cache,
-                ).seconds
-                for assignment in plan.assignments
+            total_seconds += slowest_partition_seconds(
+                config, shape, config.num_nodes, env, cache=cache,
             )
-            total_seconds += layer_seconds
             total_flops += shape.flops
         return total_seconds, total_flops
 

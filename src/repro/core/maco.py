@@ -22,9 +22,9 @@ from repro.core.mapping import partition_gemm, schedule_gemm_plus
 from repro.core.metrics import NodeResult, SystemResult, WorkloadResult
 from repro.core.perf import (
     estimate_node_gemm,
-    estimate_node_gemm_cached,
     memory_environment,
     node_peak_gflops,
+    slowest_partition_seconds,
     unmapped_memory_environment,
 )
 from repro.gemm.precision import Precision
@@ -166,22 +166,15 @@ class MACOSystem:
         if not mapping_enabled:
             env = unmapped_memory_environment(env)
 
-        # The per-layer timings run through the memoized timing cache: a column
-        # partition yields at most two distinct sub-shapes per layer, and DL
+        # The per-layer timings run through the memoized timing cache: DL
         # workloads repeat the same layer shapes many times (e.g. one GEMM set
         # per BERT encoder block), so most estimates are cache hits.
-        plans = [partition_gemm(shape, nodes) for shape in workload]
         mmae_seconds = 0.0
         gemm_flops = 0
-        for shape, plan in zip(workload, plans):
-            layer_seconds = 0.0
-            for assignment in plan.assignments:
-                timing = estimate_node_gemm_cached(
-                    self.config, assignment.shape, active_nodes=nodes,
-                    prediction_enabled=prediction_enabled, env=env,
-                )
-                layer_seconds = max(layer_seconds, timing.seconds)
-            mmae_seconds += layer_seconds
+        for shape in workload:
+            mmae_seconds += slowest_partition_seconds(
+                self.config, shape, nodes, env, prediction_enabled=prediction_enabled,
+            )
             gemm_flops += shape.flops
 
         # Non-GEMM tail operators.  The mapping scheme distributes them across
@@ -195,7 +188,7 @@ class MACOSystem:
 
         # Stash traffic: the shared A panels plus each node's B/C columns are
         # prefetched from DRAM once per layer.
-        stash_bytes = sum(plan.stash_bytes for plan in plans)
+        stash_bytes = sum(partition_gemm(shape, nodes).stash_bytes for shape in workload)
         stash_seconds = stash_bytes / self.dram.effective_bandwidth(nodes)
 
         schedule = schedule_gemm_plus(

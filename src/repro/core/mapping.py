@@ -19,7 +19,8 @@ Two pieces are modelled:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Literal
+from functools import lru_cache
+from typing import List, Literal, Tuple
 
 from repro.gemm.workloads import GEMMShape, GEMMWorkload
 
@@ -126,6 +127,18 @@ def partition_gemm(shape: GEMMShape, num_nodes: int) -> MappingPlan:
         shared_operand_bytes=shared_bytes,
         per_node_private_bytes=private_bytes,
     )
+
+
+@lru_cache(maxsize=4096)
+def partition_shapes(shape: GEMMShape, num_nodes: int) -> Tuple[GEMMShape, ...]:
+    """The distinct sub-shapes of :func:`partition_gemm`, in assignment order.
+
+    A balanced split gives every node one of at most two extents, so a
+    layer's slowest node is the slowest of these shapes.  Timing them instead
+    of every assignment gives the same maximum with one estimate per shape.
+    """
+    plan = partition_gemm(shape, num_nodes)
+    return tuple(dict.fromkeys(assignment.shape for assignment in plan.assignments))
 
 
 @dataclass

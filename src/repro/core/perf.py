@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from repro.core.config import MACOConfig
+from repro.core.mapping import partition_shapes
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape
 from repro.mem.dram import DRAMModel
@@ -115,6 +116,10 @@ class TimingCache:
     schedule.  Entries are evicted FIFO past ``max_entries``.  Hits return
     the stored instance directly; that is safe because
     :class:`~repro.mmae.dataflow.GEMMTimingBreakdown` is frozen.
+
+    Keys compare by value: the configuration through its fingerprint and the
+    environment as the frozen dataclass itself, so equal but distinct objects
+    share one entry.
     """
 
     def __init__(self, max_entries: int = 65536) -> None:
@@ -140,17 +145,6 @@ class TimingCache:
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def _key(
-        config: MACOConfig,
-        shape: GEMMShape,
-        active_nodes: int,
-        prediction_enabled: bool,
-        env: Optional[MemoryEnvironment],
-    ) -> Tuple:
-        env_key = None if env is None else astuple(env)
-        return (config_fingerprint(config), shape, active_nodes, prediction_enabled, env_key)
-
     def estimate(
         self,
         config: MACOConfig,
@@ -162,7 +156,7 @@ class TimingCache:
         """Cached :func:`estimate_node_gemm` (bit-identical to the direct call)."""
         if prediction_enabled is None:
             prediction_enabled = config.prediction_enabled
-        key = self._key(config, shape, active_nodes, prediction_enabled, env)
+        key = (config_fingerprint(config), shape, active_nodes, prediction_enabled, env)
         cached = self._store.get(key)
         if cached is not None:
             self.hits += 1
@@ -198,6 +192,29 @@ def estimate_node_gemm_cached(
     return cache.estimate(
         config, shape, active_nodes=active_nodes,
         prediction_enabled=prediction_enabled, env=env,
+    )
+
+
+def slowest_partition_seconds(
+    config: MACOConfig,
+    shape: GEMMShape,
+    num_nodes: int,
+    env: MemoryEnvironment,
+    prediction_enabled: Optional[bool] = None,
+    cache: Optional[TimingCache] = None,
+) -> float:
+    """Seconds of ``shape`` split across ``num_nodes`` busy nodes (Fig. 5(a)).
+
+    The nodes run their slices concurrently, so the layer takes as long as
+    its slowest slice; each distinct slice shape costs one cache lookup.
+    """
+    cache = DEFAULT_TIMING_CACHE if cache is None else cache
+    return max(
+        cache.estimate(
+            config, sub_shape, active_nodes=num_nodes,
+            prediction_enabled=prediction_enabled, env=env,
+        ).seconds
+        for sub_shape in partition_shapes(shape, num_nodes)
     )
 
 

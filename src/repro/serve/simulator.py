@@ -398,7 +398,10 @@ class _NodeState:
     it accrues node-seconds), ``draining`` that it stopped admitting and
     stops once its residents finish, ``serving_since`` when its current
     commitment began, and ``pending_stop`` the in-flight scale-in event whose
-    ``stopped_s`` is filled when the drain completes.  A fixed fleet keeps
+    ``stopped_s`` is filled when the drain completes.  ``stopped_at`` is that
+    stop time: windows tick lazily, so a drain can complete in loop order
+    before a window that ends earlier than its stop, and until then the group
+    still occupies its nodes.  A fixed fleet keeps
     every server committed, so the event loop's float arithmetic is
     unchanged.
     """
@@ -417,6 +420,7 @@ class _NodeState:
     draining: bool = False
     serving_since: float = 0.0
     pending_stop: Optional[dict] = None
+    stopped_at: float = -math.inf
 
 
 @dataclass(slots=True)
@@ -1128,6 +1132,7 @@ class ServeSimulator:
             state.last_tenant = None
             state.draining = False
             state.pending_stop = None
+            state.stopped_at = -math.inf
             state.committed = apolicy is None or state.node_id < apolicy.min_groups
             state.serving_since = seg_start
         seg_changes: List[Tuple[float, int]] = []
@@ -1162,6 +1167,7 @@ class ServeSimulator:
             state.committed = False
             state.draining = False
             state.pending_stop = None
+            state.stopped_at = stopped
             mark = drain_marks.pop(state.node_id, len(self.last_admissions))
             self.last_drains.append(
                 (state.node_id, mark, len(self.last_admissions)))
@@ -1176,8 +1182,9 @@ class ServeSimulator:
                 t = next_window_end
                 if len(policy) > window_depth_peak:
                     window_depth_peak = len(policy)
-                committed = [s for s in states if s.committed]
-                draining = sum(1 for s in committed if s.draining)
+                # A group whose drain stops after t still counts as draining.
+                committed = [s for s in states if s.committed or s.stopped_at > t]
+                draining = sum(1 for s in committed if s.draining or not s.committed)
                 decision = scaler.evaluate(
                     t,
                     WindowStats(
@@ -1203,7 +1210,7 @@ class ServeSimulator:
                     events.append(event)
                     if direction == "out":
                         target = min(
-                            (s for s in states if not s.committed),
+                            (s for s in states if not (s.committed or s.stopped_at > t)),
                             key=lambda s: s.node_id)
                         target.committed = True
                         target.draining = False
@@ -1217,7 +1224,7 @@ class ServeSimulator:
                         seg_changes.append((t, 1))
                     else:
                         victim = min(
-                            (s for s in committed if not s.draining),
+                            (s for s in committed if s.committed and not s.draining),
                             key=lambda s: (len(s.batch), -s.node_id))
                         event["group_id"] = victim.node_id
                         if victim.batch:

@@ -47,6 +47,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.gemm.precision import Precision
+from repro.serve.report import TICKS_PER_SECOND
 from repro.workloads.registry import workload_names
 
 __all__ = [
@@ -809,13 +810,21 @@ def _iter_json_records(text: str) -> Iterator[object]:
         raise ValueError("trailing data after the replay record list")
 
 
+#: Exclusive bound on a replayed time in nanosecond ticks (about 146 years):
+#: half the engines' int64 clock, so an arrival plus a TTFT deadline or a
+#: service time cannot overflow it.
+_TICK_LIMIT = 2**62
+
+
 def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay") -> RequestTrace:
     """Rebuild a trace from a JSON file path or an iterable of arrival records.
 
     Each record needs ``tenant``, ``workload`` and ``arrival_s``;
     ``precision``, ``priority`` and the ``ttft_slo_s``/``tpot_slo_s``
     deadlines are optional (default fp32, priority 0, no deadlines), so
-    traces recorded before those fields existed replay unchanged.  Records
+    traces recorded before those fields existed replay unchanged.  Times must
+    be finite and below ``_TICK_LIMIT`` nanoseconds; a record that breaks
+    this is rejected by index and field.  Records
     are re-sorted and re-numbered, so a hand-edited file stays valid — unless
     they carry explicit ``request_id`` fields, which must then be unique and
     increasing in file order (a duplicated or out-of-order id in a recorded
@@ -865,6 +874,12 @@ def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay")
             raise ValueError(f"replay record {sequence}: arrival time cannot be negative")
         if (ttft_slo is not None and ttft <= 0) or (tpot_slo is not None and tpot <= 0):
             raise ValueError(f"replay record {sequence}: SLO targets must be positive")
+        for key, value in (("arrival_s", arrival), ("ttft_slo_s", ttft), ("tpot_slo_s", tpot)):
+            # The comparison is also false for NaN and inf.
+            if record.get(key) is not None and not value * TICKS_PER_SECOND < _TICK_LIMIT:
+                raise ValueError(
+                    f"replay record {sequence}: {key} {value!r} is not a finite time "
+                    f"below {_TICK_LIMIT // TICKS_PER_SECOND} s")
         if "request_id" in record:
             request_id = int(record["request_id"])
             if last_id is not None and request_id <= last_id:

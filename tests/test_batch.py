@@ -1,6 +1,6 @@
 """Tests for the parallel/cached sweep subsystem (repro.core.batch)."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import pytest
 
@@ -8,17 +8,22 @@ from repro.baselines import CPUOnlyBaseline, RASALikeBaseline, compare_systems
 from repro.core import (
     DesignPoint,
     DesignSpaceExplorer,
+    MACOSystem,
     SweepRunner,
     TimingCache,
     config_fingerprint,
     estimate_node_gemm,
     estimate_node_gemm_cached,
     maco_default_config,
+    memory_environment,
+    partition_gemm,
     pareto_front,
+    slowest_partition_seconds,
     sweep_prediction,
     sweep_scalability,
 )
 from repro.gemm import GEMMShape, GEMMWorkload, Precision
+from repro.mmae.dataflow import MemoryEnvironment
 
 SIZES = [256, 512, 1024]
 
@@ -72,6 +77,104 @@ class TestTimingCache:
     def test_invalid_max_entries_rejected(self):
         with pytest.raises(ValueError):
             TimingCache(max_entries=0)
+
+    def test_equal_env_copy_hits(self, small_config):
+        cache = TimingCache()
+        shape = GEMMShape(512, 256, 128)
+        env = memory_environment(small_config, 2)
+        copy = replace(env)
+        assert copy == env and copy is not env
+        first = estimate_node_gemm_cached(small_config, shape, active_nodes=2, env=env, cache=cache)
+        again = estimate_node_gemm_cached(small_config, shape, active_nodes=2, env=copy, cache=cache)
+        assert again is first
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+
+    @pytest.mark.parametrize("field_name", [f.name for f in fields(MemoryEnvironment)])
+    def test_env_differing_in_one_field_misses(self, small_config, field_name):
+        cache = TimingCache()
+        shape = GEMMShape(512, 256, 128)
+        env = memory_environment(small_config, 2)
+        changed = replace(env, **{field_name: getattr(env, field_name) * 1.5})
+        estimate_node_gemm_cached(small_config, shape, active_nodes=2, env=env, cache=cache)
+        timing = estimate_node_gemm_cached(small_config, shape, active_nodes=2, env=changed,
+                                           cache=cache)
+        assert (cache.hits, cache.misses, len(cache)) == (0, 2, 2)
+        assert timing == estimate_node_gemm(small_config, shape, active_nodes=2, env=changed)
+
+    def test_equal_config_copies_share_entry(self):
+        cache = TimingCache()
+        shape = GEMMShape(256, 256, 256)
+        point = DesignPoint(name="p", sa_rows=8, sa_cols=8, buffer_kb=128, num_nodes=4)
+        first, second = point.to_config(), point.to_config()
+        assert first == second and first is not second
+        for config in (first, second):
+            estimate_node_gemm_cached(config, shape, active_nodes=4,
+                                      env=memory_environment(config, 4), cache=cache)
+        assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+
+
+def _every_assignment_seconds(config, shape, num_nodes, env, prediction_enabled=None,
+                              cache=None):
+    """Reference: the slowest of *every* assignment, each timed uncached."""
+    return max(
+        estimate_node_gemm(config, assignment.shape, active_nodes=num_nodes,
+                           prediction_enabled=prediction_enabled, env=env).seconds
+        for assignment in partition_gemm(shape, num_nodes).assignments
+    )
+
+
+MIXED = GEMMWorkload("mixed", [
+    GEMMShape(1027, 64, 64, Precision.FP32),   # rows, non-divisible
+    GEMMShape(64, 4096, 512, Precision.FP32),  # cols, divisible
+    GEMMShape(3, 2, 64, Precision.FP32),       # split extent below the node count
+    GEMMShape(1000, 777, 333, Precision.FP16),
+    GEMMShape(1027, 64, 64, Precision.FP32),   # repeat: served from the cache
+], non_gemm_flops=10**6, non_gemm_bytes=10**6)
+
+
+class TestSlowestPartition:
+    @pytest.mark.parametrize("nodes", [1, 3, 4])
+    def test_equals_max_over_every_assignment(self, small_config, nodes):
+        env = memory_environment(small_config, nodes)
+        cache = TimingCache()
+        for shape in MIXED:
+            assert slowest_partition_seconds(small_config, shape, nodes, env, cache=cache) == \
+                _every_assignment_seconds(small_config, shape, nodes, env)
+        # One lookup per distinct sub-shape, not one per assignment.
+        assert cache.hits + cache.misses == sum(
+            len({a.shape for a in partition_gemm(shape, nodes).assignments}) for shape in MIXED)
+
+    # Seconds from timing every assignment; the result must match bit for bit.
+    @pytest.mark.parametrize("nodes, mapping, prediction, seconds", [
+        (4, True, None, 0.000945942595084445),
+        (4, False, False, 0.0009529586667913238),
+        (3, True, False, 0.0012527102551662809),
+        (3, False, None, 0.0012314029901606112),
+    ])
+    def test_run_workload_seconds_unchanged(self, monkeypatch, small_config, nodes, mapping,
+                                            prediction, seconds):
+        system = MACOSystem(small_config)
+        result = system.run_workload(MIXED, num_nodes=nodes, mapping_enabled=mapping,
+                                     prediction_enabled=prediction)
+        assert result.seconds == seconds
+        from repro.core import maco
+
+        monkeypatch.setattr(maco, "slowest_partition_seconds", _every_assignment_seconds)
+        reference = system.run_workload(MIXED, num_nodes=nodes, mapping_enabled=mapping,
+                                        prediction_enabled=prediction)
+        assert result == reference
+
+    def test_explorer_matches_every_assignment_reference(self, monkeypatch):
+        from repro.core import explorer as explorer_module
+
+        explorer = DesignSpaceExplorer()
+        point = DesignPoint(name="p", sa_rows=2, sa_cols=2, buffer_kb=32, num_nodes=6)
+        fast = explorer.evaluate(point, MIXED, cache=TimingCache())
+        monkeypatch.setattr(explorer_module, "slowest_partition_seconds",
+                            _every_assignment_seconds)
+        reference = explorer.evaluate(point, MIXED)
+        assert (fast.seconds, fast.gflops, fast.efficiency) == \
+            (reference.seconds, reference.gflops, reference.efficiency)
 
 
 class TestSweepRunner:

@@ -231,6 +231,16 @@ class TestServeCommand:
         captured = capsys.readouterr()
         assert "ignoring --tenants, --precision" in captured.err
 
+    @pytest.mark.parametrize("arrival", ["NaN", "1e300"])
+    def test_replay_off_clock_arrival_is_an_error_not_a_report(self, tmp_path, capsys, arrival):
+        path = tmp_path / "trace.json"
+        path.write_text(f'[{{"tenant":"t0","workload":"bert","arrival_s":{arrival}}}]')
+        assert main(["serve", "--trace", "replay", "--trace-file", str(path),
+                     "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "replay record 0: arrival_s" in captured.err
+
     def test_replay_without_file_errors(self, capsys):
         assert main(["serve", "--trace", "replay"]) == 2
         assert "requires --trace-file" in capsys.readouterr().err

@@ -340,6 +340,33 @@ class TestPinnedEdgeScenarios:
             "rate": 0.01, "duration": 2.0, "num_nodes": 4, "shards": 5, "jobs": 2,
         }.items()))))
 
+    def test_scale_out_waits_for_a_lazily_completed_drain(self):
+        # A drain that completes in loop order before an earlier-ending window
+        # used to free its group for that window's scale-out, putting five
+        # groups on a four-group fleet until the drain's stop time.
+        run_scenario(ScenarioSpec("autoscale-invariants", tuple(sorted({
+            "duration": 2.0, "jobs": 1, "max_batch": 2, "max_groups": 4,
+            "min_groups": 1, "rate": 33.9, "scheduler": "slo", "seed": 7084,
+            "shards": 2, "tenants": 3,
+        }.items()))))
+
+    @pytest.mark.parametrize("num_nodes, narrow", [(1, 0), (16, 3), (7, 2)])
+    def test_timing_cache_parity_narrow_layers(self, num_nodes, narrow):
+        # narrow > 0 adds layers whose split extent is below the node count.
+        run_scenario(ScenarioSpec("timing-cache-parity", tuple(sorted({
+            "workload": "llama-7b", "precision": "fp16", "sa": 8, "buffer_kb": 16,
+            "num_nodes": num_nodes, "prediction": False, "narrow": narrow,
+            "narrow_seed": 5,
+        }.items()))))
+
+    @pytest.mark.parametrize("m, n, k", [(1, 1, 1), (8191, 3, 4096), (64, 64, 64)])
+    def test_breakdown_conservation_extremes(self, m, n, k):
+        for mapped in (True, False):
+            run_scenario(ScenarioSpec("breakdown-conservation", tuple(sorted({
+                "m": m, "n": n, "k": k, "precision": "fp64", "prediction": False,
+                "active_nodes": 16, "mapped": mapped,
+            }.items()))))
+
     def test_single_tenant_bursty_saturation(self):
         run_scenario(ScenarioSpec("trace-roundtrip", tuple(sorted({
             "generator": "bursty", "seed": 12, "tenants": 1, "rate": 0.05,

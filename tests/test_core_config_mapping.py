@@ -3,7 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import maco_default_config, partition_gemm, partition_workload, schedule_gemm_plus
+from repro.core import (
+    maco_default_config,
+    partition_gemm,
+    partition_shapes,
+    partition_workload,
+    schedule_gemm_plus,
+)
 from repro.core.config import CPUConfig, MemoryConfig, MMAEConfig
 from repro.gemm import GEMMShape, GEMMWorkload, Precision
 
@@ -131,6 +137,56 @@ class TestPartitionGEMM:
         assert plan.covers_output()
         assert plan.total_assigned_flops() == shape.flops
         assert plan.num_nodes <= nodes
+
+
+def _distinct_assignment_shapes(shape, nodes):
+    shapes = []
+    for assignment in partition_gemm(shape, nodes).assignments:
+        if assignment.shape not in shapes:
+            shapes.append(assignment.shape)
+    return tuple(shapes)
+
+
+class TestPartitionShapes:
+    @pytest.mark.parametrize("shape, nodes, expected", [
+        # rows split, divisible: one sub-shape
+        (GEMMShape(1024, 512, 64), 4, (GEMMShape(256, 512, 64),)),
+        # rows split, remainder: the long slices come first
+        (GEMMShape(1027, 64, 64), 8, (GEMMShape(129, 64, 64), GEMMShape(128, 64, 64))),
+        # cols split, divisible
+        (GEMMShape(64, 4096, 512), 8, (GEMMShape(64, 512, 512),)),
+        # cols split, remainder
+        (GEMMShape(3, 10, 8), 4, (GEMMShape(3, 3, 8), GEMMShape(3, 2, 8))),
+        # more nodes than the split extent: one-wide slices, surplus nodes idle
+        (GEMMShape(4, 3, 64), 8, (GEMMShape(1, 3, 64),)),
+        (GEMMShape(2, 5, 16, Precision.FP16), 16, (GEMMShape(2, 1, 16, Precision.FP16),)),
+    ])
+    def test_matches_partition_gemm(self, shape, nodes, expected):
+        assert partition_shapes(shape, nodes) == expected
+        assert partition_shapes(shape, nodes) == _distinct_assignment_shapes(shape, nodes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 300), n=st.integers(1, 300), k=st.integers(1, 64),
+        nodes=st.integers(1, 32),
+    )
+    def test_ordered_distinct_assignment_shapes(self, m, n, k, nodes):
+        shape = GEMMShape(m, n, k)
+        shapes = partition_shapes(shape, nodes)
+        assert shapes == _distinct_assignment_shapes(shape, nodes)
+        assert 1 <= len(shapes) <= 2
+
+    def test_returns_an_immutable_tuple(self):
+        shapes = partition_shapes(GEMMShape(1027, 64, 64), 8)
+        assert type(shapes) is tuple
+        with pytest.raises(TypeError):
+            shapes[0] = GEMMShape(1, 1, 1)  # type: ignore[index]
+        # Memoised: the same object comes back, so it must not be mutable.
+        assert partition_shapes(GEMMShape(1027, 64, 64), 8) is shapes
+
+    def test_invalid_node_count(self):
+        with pytest.raises(ValueError):
+            partition_shapes(GEMMShape(8, 8, 8), 0)
 
 
 class TestGemmPlusSchedule:

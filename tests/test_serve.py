@@ -1,6 +1,7 @@
 """Tests for the trace-driven multi-tenant serving simulator (repro.serve)."""
 
 import json
+import math
 
 import pytest
 
@@ -103,6 +104,19 @@ class TestTraces:
     def test_replay_rejects_malformed_records(self):
         with pytest.raises(ValueError):
             replay_trace([{"tenant": "a"}])
+
+    @pytest.mark.parametrize("key", ["arrival_s", "ttft_slo_s", "tpot_slo_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300])
+    def test_replay_rejects_times_off_the_tick_clock(self, key, value):
+        good = {"tenant": "t0", "workload": "bert", "arrival_s": 1.0}
+        with pytest.raises(ValueError, match=r"replay record 1\b"):
+            replay_trace([good, {**good, key: value}])
+
+    def test_replay_rejects_arrival_past_the_tick_limit(self):
+        record = {"tenant": "t0", "workload": "bert", "arrival_s": 4.7e9}
+        with pytest.raises(ValueError, match="arrival_s 4700000000.0"):
+            replay_trace([record])
+        assert len(replay_trace([{**record, "arrival_s": 4.6e9}])) == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
