@@ -1,7 +1,7 @@
 """Reproduction of MACO: GEMM acceleration on a loosely-coupled multi-core processor.
 
-The package is organised as a set of substrates (simulation kernel, memory
-hierarchy, network-on-chip, ISA, CPU core, MMAE accelerator, GEMM algorithms,
+The package is organised as a set of substrates (memory hierarchy,
+network-on-chip, ISA, CPU core, MMAE accelerator, GEMM algorithms,
 deep-learning workloads, baselines) topped by :mod:`repro.core`, which
 assembles them into the MACO system described in the paper.
 

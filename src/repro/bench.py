@@ -1,8 +1,9 @@
 """Benchmark harness for the functional fast path (``repro.cli bench``).
 
 The functional execution path — page prediction, mATLB/MMU translation and the
-wavefront emulator — ships with both a scalar reference implementation and a
-vectorized fast path that must be bit-identical to it.  This module times the
+wavefront emulator — and the request-level serve engine each have a
+vectorized fast path that must be bit-identical to a scalar reference in
+:mod:`repro.conformance.reference`.  This module times the
 two against each other on a BERT-sized layer and writes the measurements to
 ``BENCH_functional.json``, establishing the repo's performance trajectory:
 
@@ -35,10 +36,17 @@ from __future__ import annotations
 
 import json
 import time
+from functools import partial
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
+from repro.conformance.reference import (
+    ReferenceServeSimulator,
+    SystolicArrayEmulator,
+    tile_page_addresses_scalar,
+    translate_tile_scalar,
+)
 from repro.cpu.mmu import MMU
 from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
@@ -47,7 +55,7 @@ from repro.mem.hostmem import HostMemory
 from repro.mmae.controller import AcceleratorController
 from repro.mmae.data_engine import AcceleratorDataEngine
 from repro.mmae.matlb import MATLB, MatrixLayout, PageTablePredictor
-from repro.mmae.systolic_array import SystolicArrayEmulator, VectorizedSystolicArrayEmulator
+from repro.mmae.systolic_array import VectorizedSystolicArrayEmulator
 
 #: Report schema version written to BENCH_functional.json.
 SCHEMA_VERSION = 1
@@ -121,7 +129,7 @@ def bench_page_enumeration(quick: bool, repeat: int) -> Dict[str, object]:
         predictor = PageTablePredictor()
         start = time.perf_counter()
         for row, rows, col, cols in tiles:
-            predictor.tile_page_addresses_scalar(layout, row, rows, col, cols)
+            tile_page_addresses_scalar(predictor, layout, row, rows, col, cols)
         return time.perf_counter() - start
 
     def vector_run() -> float:
@@ -134,7 +142,7 @@ def bench_page_enumeration(quick: bool, repeat: int) -> Dict[str, object]:
     reference = PageTablePredictor()
     vectorized = PageTablePredictor()
     parity = all(
-        reference.tile_page_addresses_scalar(layout, row, rows, col, cols)
+        tile_page_addresses_scalar(reference, layout, row, rows, col, cols)
         == vectorized.tile_page_vaddrs(layout, row, rows, col, cols).tolist()
         for row, rows, col, cols in tiles[:: max(1, len(tiles) // 64)]
     )
@@ -155,7 +163,7 @@ def bench_tile_translation(quick: bool, repeat: int, prediction: bool) -> Dict[s
 
     def run(batched: bool) -> Tuple[float, MMU, AcceleratorDataEngine]:
         mmu, ade = _fresh_translation_stack(manager)
-        translate = ade.translate_tile_batch if batched else ade.translate_tile
+        translate = ade.translate_tile_batch if batched else partial(translate_tile_scalar, ade)
         start = time.perf_counter()
         for row, rows, k, depth in tiles:
             translate(mmu, asid, layout, (row, rows), (k, depth), prediction)
@@ -337,16 +345,16 @@ def bench_serve_scale(quick: bool, repeat: int) -> Dict[str, object]:
     trace_gen_s = time.perf_counter() - gen_start
     config = maco_default_config(num_nodes=1)
 
-    def run(engine: str):
-        simulator = ServeSimulator(config=config, scheduler="fcfs", engine=engine)
+    def run(simulator_class):
+        simulator = simulator_class(config=config, scheduler="fcfs")
         simulator._prepare_services(trace)  # warm the profile memo off-clock
         start = time.perf_counter()
         report = simulator.run(trace)
         return time.perf_counter() - start, report
 
-    run("array")  # first-touch warm-up (page faults, numpy dispatch caches)
-    array_s, array_report = _best_of_with(repeat, lambda: run("array"))
-    scalar_s, scalar_report = _best_of_with(repeat, lambda: run("scalar"))
+    run(ServeSimulator)  # first-touch warm-up (page faults, numpy dispatch caches)
+    array_s, array_report = _best_of_with(repeat, lambda: run(ServeSimulator))
+    scalar_s, scalar_report = _best_of_with(repeat, lambda: run(ReferenceServeSimulator))
     assert array_report.total_requests == len(trace)
     return {
         "requests": len(trace),

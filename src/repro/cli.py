@@ -453,8 +453,12 @@ def _parse_slo(text: str) -> tuple:
     """Parse ``--slo TTFT[:TPOT]`` into ``(ttft_slo_s, tpot_slo_s)`` seconds.
 
     ``"0.5"`` sets only a TTFT target, ``"0.5:0.1"`` both, ``":0.1"`` only a
-    TPOT target.  Targets must be positive.
+    TPOT target.  Targets must be positive, finite seconds below the
+    engines' tick limit.
     """
+    from repro.serve.report import TICKS_PER_SECOND
+    from repro.serve.trace import _TICK_LIMIT, _valid_slo
+
     ttft_text, _, tpot_text = text.partition(":")
     try:
         ttft = float(ttft_text) if ttft_text.strip() else None
@@ -464,8 +468,10 @@ def _parse_slo(text: str) -> tuple:
             f"malformed --slo {text!r}: expected TTFT[:TPOT] in seconds, e.g. 0.5:0.1")
     if ttft is None and tpot is None:
         raise ValueError(f"--slo {text!r} sets no target; pass TTFT, :TPOT or TTFT:TPOT")
-    if (ttft is not None and ttft <= 0) or (tpot is not None and tpot <= 0):
-        raise ValueError(f"--slo targets must be positive seconds, got {text!r}")
+    if any(value is not None and not _valid_slo(value) for value in (ttft, tpot)):
+        raise ValueError(
+            f"--slo targets must be positive seconds below "
+            f"{_TICK_LIMIT // TICKS_PER_SECOND} s, got {text!r}")
     return ttft, tpot
 
 

@@ -16,7 +16,8 @@ the properties the repo stakes out as exact:
   unsharded timing, the overlap split is well-formed
   (``0 <= overlapped <= comm``), and no phase is slower than serial
   compute + serial comm (overlap can only help);
-* ``serve-parity`` — scalar and array serve engines emit byte-identical
+* ``serve-parity`` — the array serve engine and its per-event reference
+  (:mod:`repro.conformance.reference`) emit byte-identical
   ``to_json`` reports across schedulers × batching modes × seeds × fleets;
 * ``serve-shards`` — the sharded request-level run merges back to the exact
   single-shard report for any shard count and worker-pool size;
@@ -350,20 +351,20 @@ def _sample_serve_parity(rng: random.Random) -> ScenarioSpec:
     )
 
 
-def _serve_simulator(spec: ScenarioSpec, engine: str):
+def _serve_simulator(spec: ScenarioSpec, reference: bool = False):
+    from repro.conformance.reference import ReferenceServeSimulator
     from repro.serve import ServeSimulator
 
     kwargs = dict(
         config=_shared_config(int(spec.param("num_nodes"))),
         scheduler=str(spec.param("scheduler")),
-        engine=engine,
     )
     if spec.param("batching") == "step":
         # The degenerate step mode (one resident request, no preemption)
-        # routes through the request-level engine, where the scalar/array
-        # choice applies.
+        # routes through the request-level engine, where the reference
+        # engine can stand in.
         kwargs.update(batching="step", max_batch=1, preemption=False)
-    return ServeSimulator(**kwargs)
+    return (ReferenceServeSimulator if reference else ServeSimulator)(**kwargs)
 
 
 def _serve_trace(spec: ScenarioSpec):
@@ -376,11 +377,11 @@ def _serve_trace(spec: ScenarioSpec):
 
 def _check_serve_parity(spec: ScenarioSpec) -> None:
     trace = _serve_trace(spec)
-    fast = _serve_simulator(spec, "array").run(trace).to_json()
-    slow = _serve_simulator(spec, "scalar").run(trace).to_json()
+    fast = _serve_simulator(spec).run(trace).to_json()
+    slow = _serve_simulator(spec, reference=True).run(trace).to_json()
     if fast != slow:
         raise ScenarioFailure(
-            f"scalar and array engines diverge for scheduler="
+            f"reference and array engines diverge for scheduler="
             f"{spec.param('scheduler')} batching={spec.param('batching')} "
             f"seed={spec.param('seed')} nodes={spec.param('num_nodes')}"
         )
@@ -406,11 +407,10 @@ def _check_serve_shards(spec: ScenarioSpec) -> None:
     from repro.serve import ServeSimulator
 
     trace = _serve_trace(spec)
-    base = _serve_simulator(spec, "array").run(trace, shards=1).to_json()
+    base = _serve_simulator(spec).run(trace, shards=1).to_json()
     sharded_sim = ServeSimulator(
         config=_shared_config(int(spec.param("num_nodes"))),
         scheduler=str(spec.param("scheduler")),
-        engine="array",
         jobs=int(spec.param("jobs")),
     )
     sharded = sharded_sim.run(trace, shards=int(spec.param("shards"))).to_json()
@@ -617,13 +617,8 @@ def _sample_trace_roundtrip(rng: random.Random) -> ScenarioSpec:
 
 
 def _check_trace_roundtrip(spec: ScenarioSpec) -> None:
-    from repro.serve import (
-        RequestTrace,
-        bursty_trace,
-        bursty_trace_scalar,
-        poisson_trace,
-        poisson_trace_scalar,
-    )
+    from repro.conformance.reference import bursty_trace_scalar, poisson_trace_scalar
+    from repro.serve import RequestTrace, bursty_trace, poisson_trace
 
     tenants = _tenants(int(spec.param("tenants")), float(spec.param("rate")), slo=False)
     duration = float(spec.param("duration"))

@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Mapping, Tuple
 
 import numpy as np
 
+from repro.conformance.reference import SystolicArrayEmulator
 from repro.core.mapping import schedule_gemm_plus
 from repro.gemm.precision import Precision
 from repro.gemm.reference import (
@@ -57,11 +58,7 @@ from repro.gemm.reference import (
 )
 from repro.gemm.tiling import TileConfig, TwoLevelTiling
 from repro.gemm.workloads import GEMMShape
-from repro.mmae.systolic_array import (
-    SystolicArray,
-    SystolicArrayEmulator,
-    VectorizedSystolicArrayEmulator,
-)
+from repro.mmae.systolic_array import SystolicArray, VectorizedSystolicArrayEmulator
 from repro.workloads.layers import conv2d_gemm
 from repro.workloads.moe import route_topk
 

@@ -196,10 +196,5 @@ class ComputeNode:
         )
 
     # ------------------------------------------------------------------- helpers
-    @property
-    def mmae_peak_gflops_fp64(self) -> float:
-        """This node's MMAE FP64 peak throughput."""
-        return self.config.mmae.peak_gflops_fp64
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ComputeNode(node_id={self.node_id})"

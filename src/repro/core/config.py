@@ -14,7 +14,7 @@ from repro.gemm.tiling import TileConfig
 from repro.mem.dram import DRAMConfig
 from repro.mmae.dataflow import MMAETimingParameters
 from repro.mmae.matlb import TranslationTimingParameters
-from repro.noc.network import NocConfig
+from repro.noc.mesh import NocConfig
 
 
 @dataclass(frozen=True)

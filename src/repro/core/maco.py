@@ -1,4 +1,4 @@
-"""The full MACO system: compute nodes, NoC, distributed L3, DDR controllers.
+"""The full MACO system: compute nodes, distributed L3, DDR controllers.
 
 :class:`MACOSystem` is the top-level object users interact with.  It offers
 three execution entry points matching the paper's experiments:
@@ -32,7 +32,6 @@ from repro.gemm.workloads import GEMMShape, GEMMWorkload
 from repro.mem.dram import DRAMModel
 from repro.mem.hostmem import HostMemory
 from repro.mem.l3cache import DistributedL3Cache
-from repro.noc.network import MeshNetwork
 
 
 class MACOSystem:
@@ -41,7 +40,6 @@ class MACOSystem:
     def __init__(self, config: Optional[MACOConfig] = None) -> None:
         self.config = config if config is not None else maco_default_config()
         self.host_memory = HostMemory()
-        self.noc = MeshNetwork(self.config.noc)
         self.l3 = DistributedL3Cache(
             num_slices=self.config.memory.l3_slices,
             slice_size_bytes=self.config.memory.l3_slice_bytes,

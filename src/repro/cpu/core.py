@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.cpu.mmu import MMU
 from repro.cpu.mtq import MasterTaskQueue
-from repro.cpu.pipeline import InstructionMix, PipelineModel
+from repro.cpu.pipeline import PipelineModel
 from repro.cpu.process import ProcessManager
 from repro.gemm.precision import Precision
 from repro.gemm.workloads import GEMMShape
@@ -177,11 +177,3 @@ class CPUCore:
         return CPUComputeResult(
             cycles=seconds * self.frequency_hz, seconds=seconds, flops=flops
         )
-
-    # -------------------------------------------------------------- general code
-    def run_instruction_mix(self, mix: InstructionMix) -> CPUComputeResult:
-        """Time a general instruction mix through the pipeline model."""
-        cycles = self.pipeline.estimate_cycles(mix)
-        seconds = cycles / self.frequency_hz
-        flops = mix.fp_ops + mix.vector_fp_ops * self.fmac_lanes
-        return CPUComputeResult(cycles=cycles, seconds=seconds, flops=flops)

@@ -8,7 +8,7 @@ requests through this MMU (paper Sections III.A and IV.A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class MMU:
         if asid not in self._page_tables:
             raise KeyError(f"no page table registered for ASID {asid}")
         return self._page_tables[asid]
-
-    def registered_asids(self) -> List[int]:
-        return list(self._page_tables)
 
     # --------------------------------------------------------------- translation
     def translate_data(self, asid: int, vaddr: int) -> TranslationResult:
@@ -147,12 +144,3 @@ class MMU:
     def flush_asid(self, asid: int) -> None:
         self.itlb.flush(asid)
         self.dtlb.flush(asid)
-
-    @property
-    def data_tlb_hit_rate(self) -> float:
-        accesses = self.dtlb.l1.stats.accesses
-        if not accesses:
-            return 0.0
-        # A hit at either level counts; only walks are misses of the hierarchy.
-        hierarchy_misses = self.dtlb.l2.stats.misses
-        return 1.0 - hierarchy_misses / accesses

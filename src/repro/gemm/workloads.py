@@ -129,10 +129,6 @@ class GEMMWorkload:
     def total_flops(self) -> int:
         return self.gemm_flops + self.non_gemm_flops
 
-    @property
-    def gemm_bytes(self) -> int:
-        return sum(shape.total_bytes for shape in self.shapes)
-
     def add(self, shape: GEMMShape) -> None:
         self.shapes.append(shape)
 

@@ -61,10 +61,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def miss_rate(self) -> float:
-        return 1.0 - self.hit_rate if self.accesses else 0.0
-
 
 @dataclass
 class CacheLine:
@@ -210,10 +206,6 @@ class SetAssociativeCache:
     def invalidate(self, address: int) -> bool:
         index, tag = self._locate(address)
         return self._sets[index].pop(tag, None) is not None
-
-    def invalidate_all(self) -> None:
-        for cache_set in self._sets:
-            cache_set.clear()
 
     @property
     def resident_lines(self) -> int:

@@ -159,10 +159,6 @@ class BatchTranslationResult:
         return int(self.cycles[self.levels == LEVEL_WALK].sum())
 
     @property
-    def fault_count(self) -> int:
-        return int(np.count_nonzero(self.levels == LEVEL_FAULT))
-
-    @property
     def ok_cycles_total(self) -> int:
         """Total cycles over the non-faulted addresses."""
         return int(self.cycles[self.levels != LEVEL_FAULT].sum())
@@ -338,11 +334,3 @@ class TLBHierarchy:
     def flush(self, asid: Optional[int] = None) -> None:
         self.l1.flush(asid)
         self.l2.flush(asid)
-
-    @property
-    def total_misses(self) -> int:
-        return self.l2.stats.misses
-
-    @property
-    def total_accesses(self) -> int:
-        return self.l1.stats.accesses

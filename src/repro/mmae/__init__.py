@@ -18,7 +18,6 @@ Fig. 2).  The MMAE contains:
 from repro.mmae.pe import ProcessingElement
 from repro.mmae.systolic_array import (
     SystolicArray,
-    SystolicArrayEmulator,
     TileComputeResult,
     VectorizedSystolicArrayEmulator,
 )
@@ -39,7 +38,6 @@ from repro.mmae.controller import AcceleratorController, TaskResult
 __all__ = [
     "ProcessingElement",
     "SystolicArray",
-    "SystolicArrayEmulator",
     "VectorizedSystolicArrayEmulator",
     "TileComputeResult",
     "ScratchpadBuffer",

@@ -110,14 +110,6 @@ class AcceleratorController:
         self.busy_cycles = 0.0
 
     # --------------------------------------------------------------- configuration
-    def set_memory_environment(self, env: MemoryEnvironment) -> None:
-        """Update the memory environment (called when the active node count changes)."""
-        self.env = env
-
-    def set_prediction(self, enabled: bool) -> None:
-        """Enable/disable predictive address translation (the Fig. 6 knob)."""
-        self.prediction_enabled = enabled
-
     def peak_gflops(self, precision: Precision = Precision.FP64) -> float:
         return self.array.peak_gflops(precision)
 

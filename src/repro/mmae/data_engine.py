@@ -64,25 +64,6 @@ class AcceleratorDataEngine:
         self.translation_stall_cycles = 0
         self.demand_translations = 0
 
-    # ------------------------------------------------------------------ planning
-    @staticmethod
-    def plan_tile(tile: Tile, element_bytes: int, accumulate: bool) -> TileTransferPlan:
-        """Transfer plan for one second-level tile.
-
-        ``accumulate`` is True when the C tile holds partial sums from a
-        previous K block and must therefore be read before the MACs and written
-        back afterwards; the first K block only writes.
-        """
-        a_bytes = tile.rows * tile.depth * element_bytes
-        b_bytes = tile.depth * tile.cols * element_bytes
-        c_bytes = tile.rows * tile.cols * element_bytes
-        return TileTransferPlan(
-            a_bytes=a_bytes,
-            b_bytes=b_bytes,
-            c_read_bytes=c_bytes if accumulate else 0,
-            c_write_bytes=c_bytes,
-        )
-
     def transfer_cycles(self, plan: TileTransferPlan, round_trip_latency_cycles: float = 0.0) -> int:
         """Cycles to move a tile's data, splitting the load across both engines."""
         per_engine = plan.total_bytes / len(self.engines)
@@ -108,19 +89,8 @@ class AcceleratorDataEngine:
         c_block = c[tile.row_start : tile.row_end, tile.col_start : tile.col_end]
         return a_block, b_block, c_block
 
-    def store_result(
-        self,
-        memory: HostMemory,
-        descriptor: GEMMDescriptor,
-        tile: Tile,
-        values: np.ndarray,
-    ) -> None:
-        """Write a computed C sub-block back to host memory in the C matrix's dtype."""
-        c = memory.matrix_at(descriptor.addr_c)
-        c[tile.row_start : tile.row_end, tile.col_start : tile.col_end] = values.astype(c.dtype)
-
     # ---------------------------------------------------------------- translation
-    def translate_tile(
+    def translate_tile_batch(
         self,
         mmu,
         asid: int,
@@ -134,36 +104,12 @@ class AcceleratorDataEngine:
         With prediction the mATLB pre-walks the pages (walk cycles are treated
         as hidden) and the demand lookups hit; without prediction each page
         missing from the mATLB costs a demand walk through the shared MMU.
-        """
-        row_start, row_count = tile_rows
-        col_start, col_count = tile_cols
-        pages = self.matlb.predictor.tile_page_addresses_scalar(
-            layout, row_start, row_count, col_start, col_count
-        )
-        stall_cycles = 0
-        if prediction_enabled:
-            self.matlb.prewalk_pages(mmu, asid, pages)
-        for page_vaddr in pages:
-            if self.matlb.lookup(page_vaddr) is None:
-                result = mmu.translate_data(asid, page_vaddr)
-                self.demand_translations += 1
-                stall_cycles += result.cycles
-        self.translation_stall_cycles += stall_cycles
-        return stall_cycles
+        The work is batched: one prewalk and one demand stream per tile.
 
-    def translate_tile_batch(
-        self,
-        mmu,
-        asid: int,
-        layout: MatrixLayout,
-        tile_rows: Tuple[int, int],
-        tile_cols: Tuple[int, int],
-        prediction_enabled: bool,
-    ) -> int:
-        """Batched :meth:`translate_tile`: one prewalk and one demand stream per tile.
-
-        Bit-identical to the scalar loop — the same pages in the same access
-        order reach the mATLB and the MMU, and every hit/miss/prewalk/walk
+        Bit-identical to the per-page reference loop
+        (:func:`repro.conformance.reference.translate_tile_scalar`) — the
+        same pages in the same access order reach the mATLB and the MMU, and
+        every hit/miss/prewalk/walk
         counter advances identically (the scalar loop interleaves mATLB lookups
         with demand MMU translations, but the two never touch each other's
         state, so splitting them into two batched passes preserves every
@@ -232,7 +178,3 @@ class AcceleratorDataEngine:
             self.demand_translations += getattr(error, "batch_processed", 1) - 1
             raise
         raise RuntimeError("unreachable: an unmapped demand page must fault")
-
-    @property
-    def total_bytes_transferred(self) -> int:
-        return sum(engine.bytes_transferred for engine in self.engines)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,9 +62,9 @@ class PageTablePredictor:
     depends only on its geometry (row count, segment bytes, row stride) and on
     the first element's offset within its page, interior tiles of a sweep share
     one cached *offset template* that is rebased per tile instead of being
-    re-enumerated.  :meth:`tile_page_addresses_scalar` retains the original
-    element-at-a-time reference; the two are bit-identical, page order
-    included, which the parity tests enforce.
+    re-enumerated.  It is bit-identical, page order included, to the
+    element-at-a-time reference in :mod:`repro.conformance.reference`, which
+    the parity tests enforce.
     """
 
     #: Geometry templates kept before the memo is reset (each is a small array).
@@ -83,29 +83,6 @@ class PageTablePredictor:
             raise ValueError("tile origin must be non-negative")
         if row_start + row_count > layout.rows or col_start + col_count > layout.cols:
             raise ValueError("tile exceeds the matrix bounds")
-
-    def tile_page_addresses_scalar(
-        self,
-        layout: MatrixLayout,
-        row_start: int,
-        row_count: int,
-        col_start: int,
-        col_count: int,
-    ) -> List[int]:
-        """Element-at-a-time reference enumeration (the pre-vectorization path)."""
-        self._check_tile(layout, row_start, row_count, col_start, col_count)
-        pages: List[int] = []
-        seen: Set[int] = set()
-        for row in range(row_start, row_start + row_count):
-            first = layout.element_vaddr(row, col_start)
-            last = layout.element_vaddr(row, col_start + col_count - 1) + layout.element_bytes - 1
-            page = align_down(first, self.page_size)
-            while page <= last:
-                if page not in seen:
-                    seen.add(page)
-                    pages.append(page)
-                page += self.page_size
-        return pages
 
     def _page_offsets(self, first_offset: int, row_count: int, segment_bytes: int,
                       row_stride_bytes: int) -> np.ndarray:

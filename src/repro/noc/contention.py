@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.mem.dram import DRAMModel
-from repro.noc.mesh import MeshTopology
-from repro.noc.network import NocConfig
+from repro.noc.mesh import MeshTopology, NocConfig
 from repro.noc.routing import route_links
 
 

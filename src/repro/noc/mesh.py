@@ -1,9 +1,38 @@
-"""2D mesh topology: node coordinates, neighbours and link enumeration."""
+"""2D mesh topology and link parameters: coordinates, neighbours, links, bandwidth."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
+
+
+@dataclass(frozen=True)
+class NocConfig:
+    """NoC parameters from the paper: 4x4 mesh, 256-bit links at 2 GHz."""
+
+    width: int = 4
+    height: int = 4
+    link_width_bytes: int = 32
+    frequency_hz: float = 2.0e9
+    router_pipeline_cycles: int = 3
+
+    def __post_init__(self) -> None:
+        if self.link_width_bytes <= 0 or self.frequency_hz <= 0:
+            raise ValueError("invalid NoC configuration")
+
+    @property
+    def cycle_time_s(self) -> float:
+        return 1.0 / self.frequency_hz
+
+    @property
+    def link_bandwidth_bytes_per_s(self) -> float:
+        """Unidirectional bandwidth of one link."""
+        return self.link_width_bytes * self.frequency_hz
+
+    @property
+    def node_bandwidth_bytes_per_s(self) -> float:
+        """Bidirectional injection/ejection bandwidth available to one node (128 GB/s)."""
+        return 2 * self.link_bandwidth_bytes_per_s
 
 
 @dataclass(frozen=True)
@@ -77,12 +106,6 @@ class MeshTopology:
     def num_links(self) -> int:
         return sum(1 for _ in self.links())
 
-    def bisection_links(self) -> int:
-        """Number of directed links crossing the vertical bisection of the mesh."""
-        if self.width < 2:
-            return 0
-        return 2 * self.height  # one link each way per row across the middle column split
-
     def hop_distance(self, src: int, dst: int) -> int:
         """Manhattan distance between two nodes — the X-Y route's hop count."""
         return self.coordinate(src).manhattan_distance(self.coordinate(dst))
@@ -98,7 +121,3 @@ class MeshTopology:
                 total += self.hop_distance(src, dst)
                 pairs += 1
         return total / pairs if pairs else 0.0
-
-    def node_positions(self) -> Dict[int, NodeCoordinate]:
-        """Every node id mapped to its mesh coordinate (for plots and tests)."""
-        return {node_id: self.coordinate(node_id) for node_id in range(self.num_nodes)}

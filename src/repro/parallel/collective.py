@@ -44,8 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.noc.mesh import MeshTopology
-from repro.noc.network import NocConfig
+from repro.noc.mesh import MeshTopology, NocConfig
 from repro.noc.routing import route_hops, route_links
 
 __all__ = ["DEFAULT_GATHER_ASYMMETRY", "CollectiveCostModel"]

@@ -37,7 +37,6 @@ from repro.serve.autoscale import (
     WindowStats,
     derive_kv_budget,
 )
-from repro.serve.engine import ENGINE_NAMES
 from repro.serve.report import (
     NodeStats,
     ServeReport,
@@ -71,11 +70,9 @@ from repro.serve.trace import (
     TenantSpec,
     TraceColumns,
     bursty_trace,
-    bursty_trace_scalar,
     default_tenants,
     llm_tenants,
     poisson_trace,
-    poisson_trace_scalar,
     replay_trace,
 )
 
@@ -87,9 +84,7 @@ __all__ = [
     "default_tenants",
     "llm_tenants",
     "poisson_trace",
-    "poisson_trace_scalar",
     "bursty_trace",
-    "bursty_trace_scalar",
     "replay_trace",
     "BatchingPolicy",
     "Scheduler",
@@ -114,7 +109,6 @@ __all__ = [
     "AutoscaleStats",
     "KVBudget",
     "derive_kv_budget",
-    "ENGINE_NAMES",
     "TenantStats",
     "NodeStats",
     "ServeReport",

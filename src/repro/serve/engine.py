@@ -1,4 +1,4 @@
-"""Integer-tick request-level event engines for the serving simulator.
+"""Integer-tick request-level event engine for the serving simulator.
 
 This module is the array-first rebuild of the legacy ``_run_request_level``
 loop (see DESIGN.md section 9).  Three decisions give it both speed and the
@@ -13,15 +13,15 @@ one trace split into shards — produce bit-equal completion columns, and the
 shared :func:`~repro.serve.report.build_report_from_columns` turns equal
 columns into byte-identical JSON.
 
-**Two engines, one contract.**  :func:`simulate_segments` runs either the
-``scalar`` reference engine (a straightforward per-event Python loop with
-tuple-keyed policy heaps — the readable specification) or the ``array``
-engine (bulk admission over the sorted arrival array, packed integer policy
-keys, and a fully vectorised closed form for the FCFS single-server case:
-with one server the dispatch order is the canonical order, so start times
-collapse to a max-plus prefix scan ``start = cumsum(cost) +
-running_max(arrival - cumsum(cost))`` — no event loop at all).  The parity
-suite asserts the two produce byte-identical reports across every policy.
+**One engine, one oracle.**  :func:`run_segment` does bulk admission over
+the sorted arrival array with packed integer policy keys, plus a fully
+vectorised closed form for the FCFS single-server case: with one server the
+dispatch order is the canonical order, so start times collapse to a max-plus
+prefix scan ``start = cumsum(cost) + running_max(arrival - cumsum(cost))`` —
+no event loop at all.  Its per-event reference, a straightforward Python loop
+with tuple-keyed policy heaps, lives in :mod:`repro.conformance.reference`;
+the parity suite asserts the two produce byte-identical reports across every
+policy.
 
 **Deterministic idle-point sharding.**  :func:`segment_bounds` computes a
 conservative drain bound — the makespan of a single server executing every
@@ -53,15 +53,11 @@ from repro.serve.report import TICKS_PER_SECOND
 __all__ = [
     "TICKS_PER_SECOND",
     "EngineTrace",
-    "ENGINE_NAMES",
     "segment_bounds",
     "shard_plan",
+    "run_segment",
     "simulate_segments",
 ]
-
-#: Selectable request-level engines: the vectorised fast path and the
-#: per-event reference it is tested against.
-ENGINE_NAMES = ("array", "scalar")
 
 #: Deadline sentinel for requests without a TTFT SLO under the slo policy:
 #: far beyond any reachable tick, so deadline-less requests order after every
@@ -128,31 +124,8 @@ class _FifoQueue:
         return len(self._ranks) - self._head
 
 
-class _TupleHeapQueue:
-    """Reference policy heap: ``key(rank) + (rank,)`` tuples, min-heap order.
-
-    The trailing rank reproduces the legacy ``(arrival, id)`` tie-break —
-    canonical rank order *is* ``(arrival tick, id)`` order.
-    """
-
-    __slots__ = ("_key", "_heap")
-
-    def __init__(self, key) -> None:
-        self._key = key
-        self._heap: List[Tuple[int, ...]] = []
-
-    def push(self, rank: int) -> None:
-        heapq.heappush(self._heap, self._key(rank) + (rank,))
-
-    def pop(self) -> int:
-        return heapq.heappop(self._heap)[-1]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 class _PackedHeapQueue:
-    """Array-engine policy heap: one precomputed integer key per rank.
+    """Policy heap: one precomputed integer key per rank.
 
     Keys are ``composite * n + (rank - lo)`` Python ints (arbitrary
     precision, so stacking priority/deadline/service components can never
@@ -226,24 +199,8 @@ class _RoundRobinQueue:
         return self._size
 
 
-def _reference_queue(et: EngineTrace):
-    """The scalar engine's policy queue: tuple keys, one push per admission."""
-    if et.policy == "fcfs":
-        return _FifoQueue()
-    if et.policy == "rr":
-        return _RoundRobinQueue(et.tenant)
-    if et.policy == "sjf":
-        return _TupleHeapQueue(lambda rank: (int(et.svc0[rank]),))
-    if et.policy == "priority":
-        return _TupleHeapQueue(lambda rank: (-int(et.priority[rank]),))
-    if et.policy == "slo":
-        return _TupleHeapQueue(
-            lambda rank: (-int(et.priority[rank]), int(et.deadline[rank])))
-    raise ValueError(f"unknown scheduling policy {et.policy!r}")
-
-
 def _packed_queue(et: EngineTrace, lo: int, hi: int):
-    """The array engine's policy queue: vectorised key precomputation."""
+    """The engine's policy queue: vectorised key precomputation."""
     if et.policy == "fcfs":
         return _FifoQueue()
     if et.policy == "rr":
@@ -273,64 +230,6 @@ def _packed_queue(et: EngineTrace, lo: int, hi: int):
 
 
 # ------------------------------------------------------------------- engines
-def _run_segment_scalar(et: EngineTrace, lo: int, hi: int):
-    """Reference engine: the legacy event loop, one rank at a time, in ticks.
-
-    Semantics (identical to the pre-vectorisation loop): pick the earliest
-    free server (``(free_at, node)`` heap), admit every arrival up to its
-    clock, pop the policy, gate a tenant change on the pipeline drain, charge
-    the constant switch cost, occupy the server for one pipeline interval and
-    drain it at the full latency.
-    """
-    count = hi - lo
-    start = np.empty(count, np.int64)
-    first = np.empty(count, np.int64)
-    finish = np.empty(count, np.int64)
-    accumulators = np.zeros((et.num_servers, 4), np.int64)
-    arrival, tenant, pair = et.arrival, et.tenant, et.pair
-    latency_table, interval_table, first_table = (
-        et.latency_table, et.interval_table, et.first_table)
-    switch_ticks = et.switch_ticks
-    queue = _reference_queue(et)
-    servers = [(0, node) for node in range(et.num_servers)]
-    drain = [0] * et.num_servers
-    last_tenant: List[Optional[int]] = [None] * et.num_servers
-    index = lo
-    while index < hi or len(queue):
-        free_at, node = servers[0]
-        while index < hi and arrival[index] <= free_at:
-            queue.push(index)
-            index += 1
-        if not len(queue):
-            now = int(arrival[index])
-            while index < hi and arrival[index] <= now:
-                queue.push(index)
-                index += 1
-            continue
-        rank = queue.pop()
-        this_tenant = int(tenant[rank])
-        begin = max(free_at, int(arrival[rank]))
-        switch = 0
-        if last_tenant[node] is not None and last_tenant[node] != this_tenant:
-            begin = max(begin, drain[node])
-            switch = switch_ticks
-            accumulators[node, 3] += 1
-        row = int(pair[rank])
-        dispatch = begin + switch
-        done = dispatch + int(latency_table[row, node])
-        start[rank - lo] = begin
-        first[rank - lo] = dispatch + int(first_table[row, node])
-        finish[rank - lo] = done
-        interval = int(interval_table[row, node])
-        heapq.heapreplace(servers, (dispatch + interval, node))
-        drain[node] = done
-        last_tenant[node] = this_tenant
-        accumulators[node, 0] += 1
-        accumulators[node, 1] += switch + interval
-        accumulators[node, 2] += switch
-    return start, first, finish, accumulators
-
-
 def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int):
     """FCFS on one uniform-interval server: dispatch is a prefix scan.
 
@@ -370,8 +269,8 @@ def _run_segment_closed_form(et: EngineTrace, lo: int, hi: int):
     return start, first, finish, accumulators
 
 
-def _run_segment_array(et: EngineTrace, lo: int, hi: int):
-    """Array engine: closed form when eligible, else a bulk-admission loop.
+def run_segment(et: EngineTrace, lo: int, hi: int):
+    """Simulate ranks ``lo..hi`` cold: closed form when eligible, else a bulk-admission loop.
 
     The general loop differs from the reference in mechanics, not semantics:
     arrivals live in local Python lists (no per-element numpy boxing),
@@ -444,9 +343,6 @@ def _run_segment_array(et: EngineTrace, lo: int, hi: int):
     return start, first, finish, accumulators
 
 
-_SEGMENT_ENGINES = {"scalar": _run_segment_scalar, "array": _run_segment_array}
-
-
 # ------------------------------------------------------------------ sharding
 def segment_bounds(et: EngineTrace) -> List[Tuple[int, int]]:
     """Cut the trace at provable full-idle points, deterministically.
@@ -496,16 +392,14 @@ def shard_plan(segments: List[Tuple[int, int]], shards: int) -> List[List[Tuple[
     return chunks
 
 
-def simulate_segments(
-    et: EngineTrace, segments: List[Tuple[int, int]], engine: str
-):
-    """Run each segment cold and concatenate the completion columns.
+def simulate_segments(et: EngineTrace, segments: List[Tuple[int, int]], run):
+    """Run each segment cold through ``run`` and concatenate the completion columns.
 
-    Returns ``(start, first, finish, accumulators)`` covering the contiguous
-    rank span of ``segments``; accumulators are summed across segments
-    (integer addition, so the fold order cannot matter).
+    ``run(et, lo, hi)`` is :func:`run_segment` or a reference engine with the
+    same contract.  Returns ``(start, first, finish, accumulators)`` covering
+    the contiguous rank span of ``segments``; accumulators are summed across
+    segments (integer addition, so the fold order cannot matter).
     """
-    run = _SEGMENT_ENGINES[engine]
     if len(segments) == 1:
         return run(et, segments[0][0], segments[0][1])
     starts, firsts, finishes = [], [], []
@@ -525,6 +419,10 @@ def simulate_segments(
 
 
 def shard_worker(payload):
-    """Pool worker: simulate one chunk of segments (SweepRunner task shape)."""
-    (et, segments, engine), _cache = payload
-    return simulate_segments(et, segments, engine)
+    """Pool worker: simulate one chunk of segments (SweepRunner task shape).
+
+    The payload carries the segment runner itself; a module-level function
+    pickles by qualified name, so the pool needs no engine registry.
+    """
+    (et, segments, run), _cache = payload
+    return simulate_segments(et, segments, run)

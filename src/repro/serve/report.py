@@ -316,12 +316,6 @@ def _exact_sum(values: np.ndarray) -> int:
     return (high << 32) + low
 
 
-def _rank_select(values: np.ndarray, q: float) -> float:
-    """Nearest-rank percentile of a non-empty array via ``np.partition``."""
-    rank = max(1, math.ceil(q / 100.0 * len(values)))
-    return float(np.partition(values, rank - 1)[rank - 1])
-
-
 def _select_ranks(values: np.ndarray) -> Tuple[float, float, float]:
     """The p50/p95/p99 nearest-rank elements of a non-empty array.
 

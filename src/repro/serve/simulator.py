@@ -69,10 +69,10 @@ from repro.cpu.process import Process
 from repro.gemm.precision import Precision
 from repro.mem.dram import DRAMModel
 from repro.serve.engine import (
-    ENGINE_NAMES,
     NO_DEADLINE,
     TICKS_PER_SECOND,
     EngineTrace,
+    run_segment,
     segment_bounds,
     shard_plan,
     shard_worker,
@@ -487,6 +487,10 @@ class ServeSimulator:
     the unsharded simulation bit for bit.
     """
 
+    #: Runs one request-level segment ``(et, lo, hi)``; the conformance
+    #: layer's reference simulator swaps in the per-event oracle here.
+    _segment_runner = staticmethod(run_segment)
+
     def __init__(
         self,
         system: Optional[MACOSystem] = None,
@@ -499,16 +503,12 @@ class ServeSimulator:
         max_batch: int = 8,
         kv_budget_bytes: Optional[object] = None,
         preemption: bool = True,
-        engine: str = "array",
         autoscale: Optional[AutoscalePolicy] = None,
     ) -> None:
         if system is not None and config is not None:
             raise ValueError("pass either a system or a config, not both")
         if batching not in ("request", "step"):
             raise ValueError(f"batching must be 'request' or 'step', got {batching!r}")
-        if engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"engine must be one of {', '.join(ENGINE_NAMES)}, got {engine!r}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be at least 1, got {max_batch}")
         if kv_budget_bytes is None:
@@ -532,7 +532,6 @@ class ServeSimulator:
             system = MACOSystem(config if config is not None else maco_default_config())
         self.system = system
         self.scheduler_name = scheduler
-        self.engine = engine
         self.batching = batching
         self.max_batch = max_batch
         self.kv_budget_bytes = kv_budget_bytes
@@ -695,8 +694,8 @@ class ServeSimulator:
         where continuous batching, preemption and SLO-aware admission earn
         their keep.
         """
-        if not 0 < utilization:
-            raise ValueError(f"utilization must be positive, got {utilization}")
+        if not 0 < utilization < math.inf:
+            raise ValueError(f"utilization must be positive and finite, got {utilization}")
         # Batch the estimates through the worker pool so --jobs helps here too
         # (this is where a cold simulator computes them in the default CLI path).
         self._ensure_services([
@@ -876,8 +875,7 @@ class ServeSimulator:
         parallelism) frees up, every request that has arrived by then is
         admitted to the policy queue, the policy pops one, and the server is
         busy for the switch cost plus the service estimate — see
-        :mod:`repro.serve.engine` for the array/scalar implementations and
-        the sharding contract.
+        :mod:`repro.serve.engine` for the engine and the sharding contract.
         """
         self._prepare_services(trace)
         # Reuse the scheduler registry's validation (exact same errors for a
@@ -890,11 +888,11 @@ class ServeSimulator:
             chunks = [[(0, count)]] if count else []
         else:
             chunks = shard_plan(segment_bounds(et), shards)
+        run = self._segment_runner
         if len(chunks) > 1 and self.runner.jobs > 1:
-            results = self.runner.map(
-                shard_worker, [(et, chunk, self.engine) for chunk in chunks])
+            results = self.runner.map(shard_worker, [(et, chunk, run) for chunk in chunks])
         else:
-            results = [simulate_segments(et, chunk, self.engine) for chunk in chunks]
+            results = [simulate_segments(et, chunk, run) for chunk in chunks]
         if len(results) == 1:
             start, first, finish, accumulators = results[0]
         else:

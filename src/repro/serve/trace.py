@@ -24,9 +24,9 @@ million dataclasses.  :class:`RequestTrace` wraps the columns and materialises
 :class:`Request` objects lazily, only when someone actually iterates them.
 
 The generators are vectorised but bit-equal to their per-request references
-(:func:`poisson_trace_scalar` / :func:`bursty_trace_scalar`), which are kept
-both as documentation and as the parity oracle for the tests.  Two facts make
-exact equality possible: ``numpy``'s ``MT19937`` bit generator can be seeded
+(``poisson_trace_scalar`` / ``bursty_trace_scalar`` in
+:mod:`repro.conformance.reference`), which serve as the parity oracle.  Two
+facts make exact equality possible: ``numpy``'s ``MT19937`` bit generator can be seeded
 with the *state* of a ``random.Random`` and then reproduces its uniform stream
 double for double, and ``np.log``/``np.cumsum`` evaluate element-wise
 identically whether applied to one value or a chunk.  The scalar references
@@ -58,11 +58,36 @@ __all__ = [
     "default_tenants",
     "llm_tenants",
     "poisson_trace",
-    "poisson_trace_scalar",
     "bursty_trace",
-    "bursty_trace_scalar",
     "replay_trace",
 ]
+
+
+#: Exclusive bound on a trace time in nanosecond ticks (about 146 years):
+#: half the engines' int64 clock, so an arrival plus a TTFT deadline or a
+#: service time cannot overflow it.
+_TICK_LIMIT = 2**62
+
+
+def _below_tick_limit(seconds: float) -> bool:
+    """Whether ``seconds`` is a finite time below :data:`_TICK_LIMIT` ticks.
+
+    The comparison is false for NaN and inf, so one test rejects all three.
+    """
+    return seconds * TICKS_PER_SECOND < _TICK_LIMIT
+
+
+def _check_duration(duration_s: float) -> None:
+    """Reject a generated trace's duration unless every arrival fits the tick clock."""
+    if not (duration_s > 0 and _below_tick_limit(duration_s)):
+        raise ValueError(
+            f"duration must be positive and below {_TICK_LIMIT // TICKS_PER_SECOND} s, "
+            f"got {duration_s}")
+
+
+def _valid_slo(seconds: float) -> bool:
+    """Whether ``seconds`` is a usable SLO target: positive, finite, below the tick limit."""
+    return seconds > 0 and _below_tick_limit(seconds)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,16 +142,23 @@ class TenantSpec:
     tpot_slo_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.rate_rps <= 0:
-            raise ValueError(f"tenant {self.name!r}: rate must be positive, got {self.rate_rps}")
+        # Every comparison below is written so that NaN fails it.
+        if not 0 < self.rate_rps < math.inf:
+            raise ValueError(
+                f"tenant {self.name!r}: rate_rps must be positive and finite, got {self.rate_rps}")
         if not self.mix:
             raise ValueError(f"tenant {self.name!r}: workload mix cannot be empty")
-        if any(weight <= 0 for _, weight in self.mix):
-            raise ValueError(f"tenant {self.name!r}: mix weights must be positive")
-        if self.ttft_slo_s is not None and self.ttft_slo_s <= 0:
-            raise ValueError(f"tenant {self.name!r}: TTFT SLO must be positive")
-        if self.tpot_slo_s is not None and self.tpot_slo_s <= 0:
-            raise ValueError(f"tenant {self.name!r}: TPOT SLO must be positive")
+        for workload, weight in self.mix:
+            if not 0 < weight < math.inf:
+                raise ValueError(
+                    f"tenant {self.name!r}: mix weight for {workload!r} must be positive "
+                    f"and finite, got {weight}")
+        for field_name in ("ttft_slo_s", "tpot_slo_s"):
+            value = getattr(self, field_name)
+            if value is not None and not _valid_slo(value):
+                raise ValueError(
+                    f"tenant {self.name!r}: {field_name} must be positive seconds below "
+                    f"{_TICK_LIMIT // TICKS_PER_SECOND} s, got {value}")
 
     def with_rate(self, rate_rps: float) -> "TenantSpec":
         """Copy of this spec with a different mean arrival rate."""
@@ -158,17 +190,6 @@ class TenantSpec:
             cumulative += weight
             partials.append(cumulative)
         return partials
-
-    def pick_workload(self, rng: random.Random) -> str:
-        """Draw one workload name from the (normalised) mix."""
-        total = sum(weight for _, weight in self.mix)
-        draw = rng.random() * total
-        cumulative = 0.0
-        for name, weight in self.mix:
-            cumulative += weight
-            if draw < cumulative:
-                return name
-        return self.mix[-1][0]
 
     def mean_mix_weights(self) -> List[Tuple[str, float]]:
         """The mix with weights normalised to sum to 1."""
@@ -373,34 +394,6 @@ class RequestTrace:
         Path(path).write_text(json.dumps(self.to_records(), indent=2) + "\n")
 
 
-#: Per-request scheduling metadata carried through trace generation:
-#: ``(priority, ttft_slo_s, tpot_slo_s)``.
-_SLOFields = Tuple[int, Optional[float], Optional[float]]
-
-_NO_SLO: _SLOFields = (0, None, None)
-
-
-def _slo_fields(spec: TenantSpec) -> _SLOFields:
-    return (spec.priority, spec.ttft_slo_s, spec.tpot_slo_s)
-
-
-def _finalize(name: str, pending: List[Tuple[float, str, int, str, Precision, _SLOFields]],
-              duration_s: float) -> RequestTrace:
-    """Sort merged per-tenant arrivals and assign stable request ids.
-
-    The sort key ``(arrival, tenant, per-tenant sequence)`` breaks ties
-    deterministically, so the same inputs always produce the same ids.
-    """
-    pending.sort(key=lambda item: (item[0], item[1], item[2]))
-    requests = [
-        Request(request_id=index, tenant=tenant, workload=workload,
-                arrival_s=arrival, precision=precision,
-                priority=slo[0], ttft_slo_s=slo[1], tpot_slo_s=slo[2])
-        for index, (arrival, tenant, _seq, workload, precision, slo) in enumerate(pending)
-    ]
-    return RequestTrace(name=name, requests=requests, duration_s=duration_s)
-
-
 def default_tenants(count: int, rate_rps: float = 8.0) -> List[TenantSpec]:
     """``count`` tenants with rotating workload mixes over the registry.
 
@@ -479,16 +472,6 @@ def _seeded_generator(seed_string: str) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-def _exp_gap(uniform: float, rate: float) -> float:
-    """One exponential inter-arrival gap from one uniform draw.
-
-    Routed through ``np.log`` (not ``math.log``: the two can differ in the
-    last ulp) so the scalar generators consume uniforms exactly like the
-    vectorised ``-np.log(1 - u) / rate`` over a chunk.
-    """
-    return float(-np.log(1.0 - uniform) / rate)
-
-
 def _merge_tenant_columns(
     name: str,
     duration_s: float,
@@ -497,7 +480,7 @@ def _merge_tenant_columns(
 ) -> RequestTrace:
     """Merge per-tenant ``(spec, arrivals, workload ids)`` into a sorted trace.
 
-    Reproduces :func:`_finalize`'s canonical ``(arrival, tenant name,
+    Reproduces the reference generators' canonical ``(arrival, tenant name,
     per-tenant sequence)`` order with a single ``lexsort``, then assigns
     request ids by position.  Workload ids index each tenant's ``mix``; they
     are re-interned into the trace-wide sorted workload table here.
@@ -565,7 +548,7 @@ def _merge_tenant_columns(
 
 
 def _pick_workloads(spec: TenantSpec, uniforms: np.ndarray) -> np.ndarray:
-    """Vectorised :meth:`TenantSpec.pick_workload` over a uniform array.
+    """Vectorised per-request workload pick over a uniform array.
 
     ``searchsorted(side="right")`` against the exact running weight sums
     returns the first index whose cumulative weight exceeds the draw — the
@@ -592,10 +575,9 @@ def poisson_trace(
     rare shortfall), split into the alternating gap/pick positions the scalar
     loop would have consumed, and turned into arrivals with one ``log``, one
     ``cumsum`` and one ``searchsorted``.  Bit-identical to
-    :func:`poisson_trace_scalar` element for element.
+    ``repro.conformance.reference.poisson_trace_scalar`` element for element.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    _check_duration(duration_s)
     per_tenant = []
     for spec in tenants:
         expected = spec.rate_rps * duration_s
@@ -614,33 +596,6 @@ def poisson_trace(
         picks = _pick_workloads(spec, uniforms[1::2][:count])
         per_tenant.append((spec, arrivals[:count], picks))
     return _merge_tenant_columns(f"poisson-seed{seed}", duration_s, precision, per_tenant)
-
-
-def poisson_trace_scalar(
-    tenants: Sequence[TenantSpec],
-    duration_s: float,
-    seed: int = 0,
-    precision: Precision = Precision.FP32,
-) -> RequestTrace:
-    """Per-request reference implementation of :func:`poisson_trace`.
-
-    Kept as the parity oracle: the vectorised generator must reproduce this
-    trace bit for bit (``to_records()`` equality) for every seed.
-    """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    pending: List[Tuple[float, str, int, str, Precision, _SLOFields]] = []
-    for spec in tenants:
-        rng = random.Random(f"{seed}/poisson/{spec.name}")
-        slo = _slo_fields(spec)
-        clock, sequence = 0.0, 0
-        while True:
-            clock += _exp_gap(rng.random(), spec.rate_rps)
-            if clock >= duration_s:
-                break
-            pending.append((clock, spec.name, sequence, spec.pick_workload(rng), precision, slo))
-            sequence += 1
-    return _finalize(f"poisson-seed{seed}", pending, duration_s)
 
 
 def _bursty_rates(spec: TenantSpec, burst_factor: float, burst_fraction: float) -> Tuple[float, float]:
@@ -677,10 +632,9 @@ def bursty_trace(
     positions like the Poisson case; instead the whole stream is drawn as one
     bulk chunk with every candidate gap ``-log(1-u)/on_rate`` precomputed in
     one vectorised pass, leaving only the accept/advance scan in Python.
-    Bit-identical to :func:`bursty_trace_scalar`.
+    Bit-identical to ``repro.conformance.reference.bursty_trace_scalar``.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    _check_duration(duration_s)
     if burst_factor < 1:
         raise ValueError(f"burst factor must be >= 1, got {burst_factor}")
     if not 0 < burst_fraction < 1:
@@ -733,43 +687,6 @@ def bursty_trace(
     return _merge_tenant_columns(f"bursty-seed{seed}", duration_s, precision, per_tenant)
 
 
-def bursty_trace_scalar(
-    tenants: Sequence[TenantSpec],
-    duration_s: float,
-    seed: int = 0,
-    precision: Precision = Precision.FP32,
-    burst_factor: float = 8.0,
-    burst_fraction: float = 0.2,
-    cycle_s: float = 0.25,
-) -> RequestTrace:
-    """Per-request reference implementation of :func:`bursty_trace`."""
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
-    if burst_factor < 1:
-        raise ValueError(f"burst factor must be >= 1, got {burst_factor}")
-    if not 0 < burst_fraction < 1:
-        raise ValueError(f"burst fraction must be in (0, 1), got {burst_fraction}")
-    if cycle_s <= 0:
-        raise ValueError(f"cycle length must be positive, got {cycle_s}")
-    pending: List[Tuple[float, str, int, str, Precision, _SLOFields]] = []
-    for spec in tenants:
-        rng = random.Random(f"{seed}/bursty/{spec.name}")
-        slo = _slo_fields(spec)
-        on_rate, off_rate = _bursty_rates(spec, burst_factor, burst_fraction)
-        clock, sequence = 0.0, 0
-        while True:
-            clock += _exp_gap(rng.random(), on_rate)
-            if clock >= duration_s:
-                break
-            in_burst = (clock % cycle_s) / cycle_s < burst_fraction
-            rate_now = on_rate if in_burst else off_rate
-            if rng.random() * on_rate < rate_now:  # thinning acceptance
-                pending.append((clock, spec.name, sequence, spec.pick_workload(rng),
-                                precision, slo))
-                sequence += 1
-    return _finalize(f"bursty-seed{seed}", pending, duration_s)
-
-
 # ---------------------------------------------------------------- trace replay
 def _iter_json_records(text: str) -> Iterator[object]:
     """Yield the elements of a top-level JSON array one at a time.
@@ -808,12 +725,6 @@ def _iter_json_records(text: str) -> Iterator[object]:
         position += 1
     if position != end:
         raise ValueError("trailing data after the replay record list")
-
-
-#: Exclusive bound on a replayed time in nanosecond ticks (about 146 years):
-#: half the engines' int64 clock, so an arrival plus a TTFT deadline or a
-#: service time cannot overflow it.
-_TICK_LIMIT = 2**62
 
 
 def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay") -> RequestTrace:
@@ -875,8 +786,7 @@ def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay")
         if (ttft_slo is not None and ttft <= 0) or (tpot_slo is not None and tpot <= 0):
             raise ValueError(f"replay record {sequence}: SLO targets must be positive")
         for key, value in (("arrival_s", arrival), ("ttft_slo_s", ttft), ("tpot_slo_s", tpot)):
-            # The comparison is also false for NaN and inf.
-            if record.get(key) is not None and not value * TICKS_PER_SECOND < _TICK_LIMIT:
+            if record.get(key) is not None and not _below_tick_limit(value):
                 raise ValueError(
                     f"replay record {sequence}: {key} {value!r} is not a finite time "
                     f"below {_TICK_LIMIT // TICKS_PER_SECOND} s")
@@ -906,7 +816,7 @@ def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay")
 
     count = len(arrivals)
     arrival_array = np.array(arrivals, dtype=np.float64)
-    # Canonical _finalize order: (arrival, tenant name, file sequence), then
+    # Canonical order: (arrival, tenant name, file sequence), then
     # ids by position.  Interning gave tenants first-seen ids, so sort the
     # table first and remap.
     tenants = sorted(tenant_index)

@@ -283,10 +283,6 @@ class WorkloadGraph:
         """The phase names, in execution order."""
         return [phase.name for phase in self.phases]
 
-    def state_growth(self) -> List[Tuple[str, int]]:
-        """``(phase name, state_bytes)`` in phase order — how state grows."""
-        return [(phase.name, phase.state_bytes) for phase in self.phases]
-
     # ------------------------------------------------------------------ lowering
     def flatten(self, name: Optional[str] = None) -> GEMMWorkload:
         """Lower to the legacy flat :class:`GEMMWorkload` (phases expanded in order)."""

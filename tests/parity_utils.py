@@ -38,27 +38,28 @@ def make_serve_trace(seed=7, duration=20.0, count=3, rate=4.0):
     return poisson_trace(make_mixed_tenants(count, rate), duration_s=duration, seed=seed)
 
 
-def make_serve_simulator(engine, scheduler="fcfs", batching="request", **kwargs):
+def make_serve_simulator(scheduler="fcfs", batching="request", reference=False, **kwargs):
     """A 4-node serve simulator; ``batching='step'`` selects the degenerate
     step mode (``max_batch=1``, no preemption) that routes through the
-    request-level engine — the mode where the scalar/array choice applies."""
+    request-level engine — the mode where ``reference=True`` swaps in the
+    per-event reference engine."""
+    from repro.conformance.reference import ReferenceServeSimulator
     from repro.serve import ServeSimulator
 
     defaults = dict(config=maco_default_config(num_nodes=4))
     if batching == "step":
         defaults.update(batching="step", max_batch=1, preemption=False)
     defaults.update(kwargs)
-    return ServeSimulator(scheduler=scheduler, engine=engine, **defaults)
+    simulator_class = ReferenceServeSimulator if reference else ServeSimulator
+    return simulator_class(scheduler=scheduler, **defaults)
 
 
 def run_emulator_pair(rows, cols, tr, seed):
     """Run one random block through the scalar and vectorized systolic
     emulators and return ``(scalar_result, vector_result)`` for bit-identity
     assertions."""
-    from repro.mmae.systolic_array import (
-        SystolicArrayEmulator,
-        VectorizedSystolicArrayEmulator,
-    )
+    from repro.conformance.reference import SystolicArrayEmulator
+    from repro.mmae.systolic_array import VectorizedSystolicArrayEmulator
 
     gen = np.random.default_rng(seed)
     a_block = gen.standard_normal((tr, rows))

@@ -241,6 +241,31 @@ class TestServeCommand:
         assert captured.out == ""
         assert "replay record 0: arrival_s" in captured.err
 
+    @pytest.mark.parametrize("slo", ["nan", "0.5:nan", ":nan", "inf", "0.5:inf", "5e9"])
+    def test_non_finite_slo_is_an_error_not_a_report(self, capsys, slo):
+        assert main(["serve", "--batching", "step", "--requests", "50",
+                     "--slo", slo, "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --slo targets must be positive seconds below 4611686018 s" in captured.err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--rate", "error: tenant 'tenant0': rate_rps must be positive and finite"),
+        ("--utilization", "error: utilization must be positive and finite"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_flags_are_errors(self, capsys, flag, message, value):
+        assert main(self.ARGV + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_rate_too_small_for_the_tick_clock_is_an_error(self, capsys):
+        assert main(self.ARGV + ["--utilization", "1e-12", "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: duration must be positive and below" in captured.err
+
     def test_replay_without_file_errors(self, capsys):
         assert main(["serve", "--trace", "replay"]) == 2
         assert "requires --trace-file" in capsys.readouterr().err

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.conformance.reference import SystolicArrayEmulator
 from repro.gemm.precision import Precision
 from repro.mmae.pe import ProcessingElement
-from repro.mmae.systolic_array import SystolicArray, SystolicArrayEmulator
+from repro.mmae.systolic_array import SystolicArray
 
 
 class TestProcessingElement:

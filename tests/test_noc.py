@@ -1,16 +1,13 @@
-"""Tests for the NoC substrate: mesh, X-Y routing, packets, routers, network, contention."""
+"""Tests for the NoC substrate: mesh, X-Y routing, link parameters, contention."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.noc import (
-    FlitType,
-    MeshNetwork,
     MeshTopology,
     NocConfig,
     NocContentionModel,
-    Packet,
-    Router,
+    NodeCoordinate,
     xy_route,
 )
 from repro.noc.routing import route_links
@@ -49,6 +46,32 @@ class TestMeshTopology:
     def test_out_of_range_node_rejected(self):
         with pytest.raises(ValueError):
             MeshTopology(4, 4).coordinate(16)
+
+    @pytest.mark.parametrize("width, height", [(0, 4), (4, 0)])
+    def test_empty_mesh_rejected(self, width, height):
+        with pytest.raises(ValueError):
+            MeshTopology(width, height)
+
+    def test_rectangular_mesh_is_row_major(self):
+        mesh = MeshTopology(3, 2)
+        assert mesh.num_nodes == 6
+        assert mesh.coordinate(4) == NodeCoordinate(1, 1)
+        assert mesh.node_id(NodeCoordinate(2, 1)) == 5
+        # 2 rows x 2 horizontal + 3 columns x 1 vertical = 7 links, both directions.
+        assert mesh.num_links == 14
+
+    def test_links_are_the_directed_neighbour_pairs(self):
+        mesh = MeshTopology(4, 4)
+        links = list(mesh.links())
+        assert len(links) == len(set(links)) == mesh.num_links
+        assert set(links) == {(a, b) for a in range(16) for b in mesh.neighbors(a)}
+        assert all((b, a) in set(links) for a, b in links)
+
+    @given(st.integers(0, 15), st.integers(0, 15))
+    def test_hop_distance_is_coordinate_manhattan_distance(self, src, dst):
+        mesh = MeshTopology(4, 4)
+        a, b = mesh.coordinate(src), mesh.coordinate(dst)
+        assert mesh.hop_distance(src, dst) == a.manhattan_distance(b) == b.manhattan_distance(a)
 
 
 class TestXYRouting:
@@ -89,87 +112,30 @@ class TestXYRouting:
         assert len(route_links(mesh, 0, 5)) == mesh.hop_distance(0, 5)
 
 
-class TestPackets:
-    def test_flit_count_from_payload(self):
-        packet = Packet(packet_id=0, src=0, dst=1, payload_bytes=100, link_width_bytes=32)
-        assert packet.num_flits == 4
-
-    def test_zero_payload_still_one_flit(self):
-        packet = Packet(packet_id=0, src=0, dst=1, payload_bytes=0)
-        assert packet.num_flits == 1
-        assert packet.flits()[0].flit_type is FlitType.HEAD_TAIL
-
-    def test_flit_sequence_structure(self):
-        packet = Packet(packet_id=1, src=0, dst=3, payload_bytes=96, link_width_bytes=32)
-        flits = packet.flits()
-        assert flits[0].flit_type is FlitType.HEAD
-        assert flits[-1].flit_type is FlitType.TAIL
-        assert all(flit.flit_type is FlitType.BODY for flit in flits[1:-1])
-
-    def test_negative_payload_rejected(self):
-        with pytest.raises(ValueError):
-            Packet(packet_id=0, src=0, dst=1, payload_bytes=-1)
-
-
-class TestRouter:
-    def test_forward_serialises_flits(self):
-        router = Router(node_id=0)
-        packet = Packet(packet_id=0, src=0, dst=1, payload_bytes=128, link_width_bytes=32)
-        done = router.forward(packet, next_hop=1, now=0.0, cycle_time=1.0)
-        # 3-cycle pipeline + 4 flits of serialization.
-        assert done == pytest.approx(7.0)
-
-    def test_contention_queues_second_packet(self):
-        router = Router(node_id=0, num_virtual_channels=1)
-        p1 = Packet(packet_id=0, src=0, dst=1, payload_bytes=320, link_width_bytes=32)
-        p2 = Packet(packet_id=1, src=0, dst=1, payload_bytes=320, link_width_bytes=32)
-        first = router.forward(p1, 1, 0.0, 1.0)
-        second = router.forward(p2, 1, 0.0, 1.0)
-        assert second > first
-
-    def test_virtual_channels_reduce_blocking(self):
-        single = Router(node_id=0, num_virtual_channels=1)
-        multi = Router(node_id=0, num_virtual_channels=4)
-        payload = 320
-        times_single = [
-            single.forward(Packet(i, 0, 1, payload, 32), 1, 0.0, 1.0) for i in range(4)
-        ]
-        times_multi = [
-            multi.forward(Packet(i, 0, 1, payload, 32), 1, 0.0, 1.0) for i in range(4)
-        ]
-        assert max(times_multi) < max(times_single)
-
-
-class TestMeshNetwork:
+class TestNocConfig:
     def test_config_bandwidth_matches_paper(self):
         config = NocConfig()
         # 256-bit links at 2 GHz -> 64 GB/s per direction, 128 GB/s bidirectional.
         assert config.link_bandwidth_bytes_per_s == pytest.approx(64e9)
         assert config.node_bandwidth_bytes_per_s == pytest.approx(128e9)
 
-    def test_send_delivers_with_positive_latency(self):
-        network = MeshNetwork()
-        result = network.send(0, 15, payload_bytes=256)
-        assert result.hops == 6
-        assert result.latency_s > 0
+    def test_invalid_link_rejected(self):
+        with pytest.raises(ValueError):
+            NocConfig(link_width_bytes=0)
 
-    def test_longer_routes_take_longer(self):
-        network = MeshNetwork()
-        near = network.send(0, 1, 256).latency_s
-        far = network.send(0, 15, 256).latency_s
-        assert far > near
+    @pytest.mark.parametrize("frequency_hz", [0.0, -1.0e9])
+    def test_invalid_frequency_rejected(self, frequency_hz):
+        with pytest.raises(ValueError):
+            NocConfig(frequency_hz=frequency_hz)
 
-    def test_zero_load_latency_monotonic_in_payload(self):
-        network = MeshNetwork()
-        assert network.zero_load_latency_s(0, 15, 64) < network.zero_load_latency_s(0, 15, 4096)
+    def test_cycle_time_is_inverse_frequency(self):
+        assert NocConfig().cycle_time_s == pytest.approx(0.5e-9)
+        assert NocConfig(frequency_hz=1.0e9).cycle_time_s == pytest.approx(1.0e-9)
 
-    def test_traffic_accounting(self):
-        network = MeshNetwork()
-        network.send(0, 5, 100)
-        network.send(3, 9, 200)
-        assert network.packets_sent == 2
-        assert network.bytes_sent == 300
-        assert network.average_latency_s > 0
+    def test_bandwidth_scales_with_link_width(self):
+        config = NocConfig(link_width_bytes=16)
+        assert config.link_bandwidth_bytes_per_s == pytest.approx(32e9)
+        assert config.node_bandwidth_bytes_per_s == pytest.approx(64e9)
 
 
 class TestContentionModel:
@@ -201,3 +167,32 @@ class TestContentionModel:
         light = model.saturation_node_count(1e9)
         heavy = model.saturation_node_count(50e9)
         assert heavy <= light
+
+    @pytest.mark.parametrize("num_active", [0, 17])
+    def test_active_node_count_outside_the_mesh_rejected(self, num_active):
+        with pytest.raises(ValueError, match="num_active"):
+            NocContentionModel().max_link_load_factor(num_active)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"l3_miss_fraction": -0.1},
+        {"l3_miss_fraction": 1.5},
+        {"protocol_overhead": -0.01},
+    ])
+    def test_invalid_model_parameters_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            NocContentionModel(**kwargs)
+
+    def test_non_positive_demand_rejected(self):
+        with pytest.raises(ValueError, match="demand"):
+            NocContentionModel().sustained_node_bandwidth(4, 0.0)
+
+    def test_light_demand_on_one_node_is_not_slowed(self):
+        assert NocContentionModel().slowdown(1, 1e9) == pytest.approx(1.0)
+
+    def test_model_follows_the_configured_mesh(self):
+        model = NocContentionModel(config=NocConfig(width=2, height=2))
+        assert model.topology.num_nodes == 4
+        # A demand the 2x2 mesh always sustains never saturates it.
+        assert model.saturation_node_count(1e6) == 5
+        with pytest.raises(ValueError):
+            model.max_link_load_factor(5)

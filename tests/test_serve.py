@@ -128,6 +128,37 @@ class TestTraces:
         with pytest.raises(ValueError):
             default_tenants(0)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_tenant_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match=r"tenant 'a': rate_rps must be positive and finite"):
+            TenantSpec(name="a", rate_rps=rate)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, 0.0])
+    def test_tenant_rejects_non_finite_mix_weight(self, weight):
+        with pytest.raises(ValueError, match=r"tenant 'a': mix weight for 'gpt3'"):
+            TenantSpec(name="a", mix=(("bert", 1.0), ("gpt3", weight)))
+
+    @pytest.mark.parametrize("field", ["ttft_slo_s", "tpot_slo_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, 4.7e9])
+    def test_tenant_rejects_slo_off_the_tick_clock(self, field, value):
+        with pytest.raises(ValueError, match=rf"tenant 'a': {field} must be positive"):
+            TenantSpec(name="a", **{field: value})
+        with pytest.raises(ValueError, match=rf"tenant 'a': {field}"):
+            TenantSpec(name="a").with_slo(**{field: value})
+        assert getattr(TenantSpec(name="a", **{field: 4.6e9}), field) == 4.6e9
+
+    @pytest.mark.parametrize("generator", [poisson_trace, bursty_trace])
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, 4.7e9])
+    def test_generators_reject_durations_off_the_tick_clock(self, generator, duration):
+        with pytest.raises(ValueError, match="duration must be positive and below"):
+            generator(default_tenants(1), duration_s=duration)
+
+    @pytest.mark.parametrize("utilization", [math.nan, math.inf])
+    def test_suggest_rates_rejects_non_finite_utilization(self, utilization):
+        simulator = ServeSimulator(config=maco_default_config(num_nodes=1))
+        with pytest.raises(ValueError, match="utilization must be positive and finite"):
+            simulator.suggest_rates(default_tenants(1), utilization=utilization)
+
 
 # ------------------------------------------------------------------- schedulers
 class TestSchedulers:

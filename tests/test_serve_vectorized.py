@@ -1,8 +1,9 @@
 """Parity suite for the array-based serve engine (DESIGN.md section 9).
 
-The vectorised serve core keeps its scalar twins around as oracles, and this
-file is the contract between them: the NumPy trace generators must reproduce
-the scalar generators element for element, the array event engine must emit
+The vectorised serve core is checked against its scalar twins in
+:mod:`repro.conformance.reference`, and this file is the contract between
+them: the NumPy trace generators must reproduce the scalar generators
+element for element, the array event engine must emit
 byte-identical ``to_json`` reports against the scalar reference across every
 scheduler × batching mode × seed, and sharded runs must merge back to the
 exact single-shard report for any shard count or worker-pool size.
@@ -16,6 +17,12 @@ import numpy as np
 import pytest
 
 from repro.analysis import latency_summary, percentile
+from repro.conformance.reference import (
+    ReferenceServeSimulator,
+    bursty_trace_scalar,
+    poisson_trace_scalar,
+    run_segment_scalar,
+)
 from repro.core import maco_default_config
 from repro.serve import (
     SCHEDULER_NAMES,
@@ -23,10 +30,8 @@ from repro.serve import (
     ServeSimulator,
     TraceColumns,
     bursty_trace,
-    bursty_trace_scalar,
     llm_tenants,
     poisson_trace,
-    poisson_trace_scalar,
     replay_trace,
 )
 
@@ -86,8 +91,8 @@ class TestEngineParity:
     @pytest.mark.parametrize("seed", [7, 23])
     def test_array_engine_matches_scalar_byte_for_byte(self, scheduler, batching, seed):
         trace = serve_trace(seed=seed)
-        fast = simulator("array", scheduler, batching).run(trace)
-        slow = simulator("scalar", scheduler, batching).run(trace)
+        fast = simulator(scheduler, batching).run(trace)
+        slow = simulator(scheduler, batching, reference=True).run(trace)
         assert fast.to_json() == slow.to_json()
 
     def test_multi_server_closed_form_fallback_matches_scalar(self):
@@ -96,13 +101,9 @@ class TestEngineParity:
         trace = serve_trace(seed=11)
         for nodes in (1, 3):
             config = maco_default_config(num_nodes=nodes)
-            fast = ServeSimulator(config=config, engine="array").run(trace)
-            slow = ServeSimulator(config=config, engine="scalar").run(trace)
+            fast = ServeSimulator(config=config).run(trace)
+            slow = ReferenceServeSimulator(config=config).run(trace)
             assert fast.to_json() == slow.to_json()
-
-    def test_engine_name_is_validated(self):
-        with pytest.raises(ValueError, match="engine"):
-            ServeSimulator(engine="quantum")
 
 
 # -------------------------------------------------------------- shard parity
@@ -111,27 +112,41 @@ class TestShardParity:
     def test_reports_identical_across_shard_counts(self, scheduler):
         trace = serve_trace(seed=5, duration=30.0)
         reports = {
-            shards: simulator("array", scheduler).run(trace, shards=shards).to_json()
+            shards: simulator(scheduler).run(trace, shards=shards).to_json()
             for shards in (1, 2, 7)
         }
         assert reports[1] == reports[2] == reports[7]
 
     def test_reports_identical_across_jobs(self):
         trace = serve_trace(seed=5, duration=30.0)
-        serial = simulator("array", jobs=1).run(trace, shards=4).to_json()
-        pooled = simulator("array", jobs=2).run(trace, shards=4).to_json()
+        serial = simulator(jobs=1).run(trace, shards=4).to_json()
+        pooled = simulator(jobs=2).run(trace, shards=4).to_json()
         assert serial == pooled
 
     def test_scalar_engine_honours_shards_too(self):
         trace = serve_trace(seed=9)
-        fast = simulator("array").run(trace, shards=3).to_json()
-        slow = simulator("scalar").run(trace, shards=3).to_json()
+        fast = simulator().run(trace, shards=3).to_json()
+        slow = simulator(reference=True).run(trace, shards=3).to_json()
         assert fast == slow
+
+    def test_reference_engine_runs_in_a_worker_pool(self):
+        # The pool ships the segment runner itself to the workers, so the
+        # reference simulator's override must survive pickling.  Arrivals
+        # 100 s apart leave provable idle gaps, so the trace really splits
+        # into several chunks and the pool really runs.
+        trace = replay_trace([
+            {"tenant": "ab"[i % 2], "workload": "bert", "arrival_s": 100.0 * (i // 2)}
+            for i in range(12)
+        ])
+        fast = simulator().run(trace, shards=3).to_json()
+        pooled = simulator(reference=True, jobs=2)
+        assert pooled.run(trace, shards=3).to_json() == fast
+        assert pooled._segment_runner is run_segment_scalar
 
     def test_sharding_rejects_bad_counts(self):
         trace = serve_trace()
         with pytest.raises(ValueError, match="shards"):
-            simulator("array").run(trace, shards=0)
+            simulator().run(trace, shards=0)
 
     def test_step_mode_reports_identical_across_shard_counts(self):
         # The step-batching loop now has its own sharding contract: cut
@@ -177,8 +192,8 @@ class TestReplayStreaming:
         trace.save(path)
         replayed = replay_trace(path)
         assert replayed.to_records() == trace.to_records()
-        report_a = simulator("array").run(trace).to_json()
-        report_b = simulator("array").run(replayed).to_json()
+        report_a = simulator().run(trace).to_json()
+        report_b = simulator().run(replayed).to_json()
         # Only the trace name differs between the two reports.
         assert json.loads(report_a)["tenants"] == json.loads(report_b)["tenants"]
 

@@ -1,30 +1,33 @@
 """Scalar/vectorized parity for the functional fast path.
 
 The vectorized kernels (page prediction, batch translation, the NumPy
-wavefront emulator) must be *bit-identical* to the retained scalar
-references: same pages in the same access order, identical mATLB/TLB/walker
+wavefront emulator) must be *bit-identical* to the scalar references in
+:mod:`repro.conformance.reference`: same pages in the same access order, identical mATLB/TLB/walker
 hit/miss/prewalk counters and internal LRU/FIFO orders, identical emulator
 outputs and cycle counts.  These tests drive both implementations over the
 same randomized workloads (including edge tiles and non-power-of-two strides)
 and compare exhaustively.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from parity_utils import run_emulator_pair
+from repro.conformance.reference import (
+    SystolicArrayEmulator,
+    tile_page_addresses_scalar,
+    translate_tile_scalar,
+)
 from repro.cpu.mmu import MMU
 from repro.gemm.precision import Precision
 from repro.mem.page_table import FrameAllocator, AddressSpace, PageFaultError, PageTableWalker
 from repro.mem.tlb import LEVEL_FAULT, LEVEL_L1, LEVEL_L2, LEVEL_WALK, TLB, TLBHierarchy
 from repro.mmae.data_engine import AcceleratorDataEngine
 from repro.mmae.matlb import MATLB, MatrixLayout, PageTablePredictor
-from repro.mmae.systolic_array import (
-    SystolicArray,
-    SystolicArrayEmulator,
-    VectorizedSystolicArrayEmulator,
-)
+from repro.mmae.systolic_array import SystolicArray, VectorizedSystolicArrayEmulator
 
 
 # ------------------------------------------------------------------ helpers
@@ -79,8 +82,8 @@ class TestPredictorParity:
             element_bytes=element_bytes,
         )
         predictor = PageTablePredictor()
-        scalar = predictor.tile_page_addresses_scalar(
-            layout, row_start, row_count, col_start, col_count
+        scalar = tile_page_addresses_scalar(
+            predictor, layout, row_start, row_count, col_start, col_count
         )
         vectorized = predictor.tile_page_vaddrs(
             layout, row_start, row_count, col_start, col_count
@@ -97,7 +100,7 @@ class TestPredictorParity:
         first = predictor.tile_page_vaddrs(layout, 0, 64, 0, 64)
         second = predictor.tile_page_vaddrs(layout, 64, 64, 0, 64)
         assert len(predictor._templates) == 1  # one geometry, memoized once
-        assert second.tolist() == predictor.tile_page_addresses_scalar(layout, 64, 64, 0, 64)
+        assert second.tolist() == tile_page_addresses_scalar(predictor, layout, 64, 64, 0, 64)
         assert first.tolist() != second.tolist()
 
     def test_bounds_errors_match_scalar(self):
@@ -105,7 +108,7 @@ class TestPredictorParity:
         predictor = PageTablePredictor()
         for args in [(-1, 4, 0, 4), (0, 4, -1, 4), (60, 8, 0, 8), (0, 8, 60, 8)]:
             with pytest.raises(ValueError):
-                predictor.tile_page_addresses_scalar(layout, *args)
+                tile_page_addresses_scalar(predictor, layout, *args)
             with pytest.raises(ValueError):
                 predictor.tile_page_vaddrs(layout, *args)
 
@@ -375,7 +378,7 @@ class TestADETileTranslationParity:
             mmu = MMU()
             mmu.register_page_table(space.page_table)
             ade = AcceleratorDataEngine(matlb=MATLB(entries=matlb_entries))
-            translate = ade.translate_tile_batch if batched else ade.translate_tile
+            translate = ade.translate_tile_batch if batched else partial(translate_tile_scalar, ade)
             stalls = [
                 translate(mmu, 0, layout, (row, tile_rows), (k, depth), prediction)
                 for row, tile_rows, k, depth in tiles
@@ -399,7 +402,7 @@ class TestADETileTranslationParity:
             mmu = MMU()
             mmu.register_page_table(space.page_table)
             ade = AcceleratorDataEngine(matlb=MATLB(entries=64))
-            translate = ade.translate_tile_batch if batched else ade.translate_tile
+            translate = ade.translate_tile_batch if batched else partial(translate_tile_scalar, ade)
             with pytest.raises(PageFaultError) as excinfo:
                 translate(mmu, 0, layout, (0, 16), (0, 1024), False)
             return excinfo.value.vaddr, mmu, ade
@@ -422,7 +425,7 @@ class TestADETileTranslationParity:
             mmu = MMU()
             mmu.register_page_table(space.page_table)
             ade = AcceleratorDataEngine(matlb=MATLB(entries=8))
-            translate = ade.translate_tile_batch if batched else ade.translate_tile
+            translate = ade.translate_tile_batch if batched else partial(translate_tile_scalar, ade)
             translate(mmu, 0, layout, (0, 8), (0, 1024), prediction)  # mapped tile
             with pytest.raises(PageFaultError) as excinfo:
                 translate(mmu, 0, layout, (8, 16), (0, 1024), prediction)
@@ -487,25 +490,3 @@ class TestTileCyclesMemo:
             array.tile_cycles(0, 64, 64)
         with pytest.raises(ValueError):
             array.tile_cycles(0, 64, 64)  # and again: the error is not cached
-
-
-class TestEventSlots:
-    def test_event_has_no_dict(self):
-        from repro.sim.event import EventQueue
-
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        with pytest.raises(AttributeError):
-            event.__dict__
-        with pytest.raises(AttributeError):
-            event.extra_attribute = 1
-
-    def test_heap_entries_are_tuples(self):
-        from repro.sim.event import EventQueue
-
-        queue = EventQueue()
-        queue.push(2.0, lambda: None)
-        queue.push(1.0, lambda: None, priority=3)
-        entry = queue._heap[0]
-        assert isinstance(entry, tuple) and entry[0] == 1.0 and entry[1] == 3
-        assert queue.pop().time == 1.0
