@@ -545,6 +545,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         if args.requests < 1:
             raise ValueError(f"request target must be >= 1, got {args.requests}")
+        if args.trace == "bursty" and not 1 <= args.burst_factor < float("inf"):
+            raise ValueError(f"--burst-factor must be finite and >= 1, got {args.burst_factor}")
         if args.tenant_mix == "llm":
             specs = llm_tenants(args.tenants)
         else:

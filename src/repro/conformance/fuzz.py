@@ -38,6 +38,11 @@ the properties the repo stakes out as exact:
   ``partition_gemm`` assignment timed uncached (layers narrower than the
   fleet included), and equal but distinct config/environment objects share
   one cache entry;
+* ``collective-parity`` — the five ``CollectiveCostModel.*_seconds``
+  methods, priced from memoised route geometry, equal the per-call X-Y
+  route walk of :mod:`repro.conformance.reference` exactly, across mesh
+  sizes, groups, chains, background groups, payloads and gather asymmetry,
+  and an invalid background group raises the same error from both;
 * ``breakdown-conservation`` — every ``GEMMTimingBreakdown`` component is
   finite and non-negative, and overlapped (``max(compute, DMA)``) +
   translation stall + fill + setup reproduces ``total_cycles`` exactly in the
@@ -796,6 +801,76 @@ def _check_breakdown_conservation(spec: ScenarioSpec) -> None:
         )
 
 
+# -------------------------------------------------------- collective-parity
+def _sample_collective_parity(rng: random.Random) -> ScenarioSpec:
+    width, height = rng.randint(1, 5), rng.randint(1, 5)
+    return _spec(
+        "collective-parity",
+        width=width,
+        height=height,
+        group_size=rng.randint(1, width * height),
+        chains=rng.randint(1, 4),
+        background=rng.randint(0, 3),
+        payload=0 if rng.random() < 0.1 else rng.randint(1, 1 << 26),
+        gather_asymmetry=round(rng.uniform(0.5, 4.0), 3),
+        invalid=rng.random() < 0.25,
+        layout_seed=rng.randint(0, 9999),
+    )
+
+
+def _check_collective_parity(spec: ScenarioSpec) -> None:
+    from repro.conformance.reference import ReferenceCollectiveCostModel
+    from repro.noc.mesh import NocConfig
+    from repro.parallel import CollectiveCostModel
+
+    width, height = int(spec.param("width")), int(spec.param("height"))
+    nodes = width * height
+    rng = random.Random(int(spec.param("layout_seed")))
+
+    def group(size: int) -> List[int]:
+        return rng.sample(range(nodes), min(size, nodes))
+
+    ring = group(int(spec.param("group_size")))
+    chains = [group(rng.randint(1, 4)) for _ in range(int(spec.param("chains")))]
+    background = [group(rng.randint(1, nodes)) for _ in range(int(spec.param("background")))]
+    src, dst = rng.randrange(nodes), rng.randrange(nodes)
+    payload = int(spec.param("payload"))
+    calls = {
+        "ring_allreduce_seconds": lambda model, bg: model.ring_allreduce_seconds(ring, payload, bg),
+        "all_gather_seconds": lambda model, bg: model.all_gather_seconds(ring, payload, bg),
+        "gather_seconds": lambda model, bg: model.gather_seconds(ring, payload, bg),
+        "point_to_point_seconds":
+            lambda model, bg: model.point_to_point_seconds(src, dst, payload, bg),
+        "multicast_seconds": lambda model, bg: model.multicast_seconds(chains, payload / 3, bg),
+    }
+    config = NocConfig(width=width, height=height)
+    asymmetry = float(spec.param("gather_asymmetry"))
+    models = [cls(config=config, gather_asymmetry=asymmetry)
+              for cls in (CollectiveCostModel, ReferenceCollectiveCostModel)]
+    where = f"{width}x{height} mesh, ring {ring}, chains {chains}, background {background}"
+    for name, call in calls.items():
+        fast, slow = (call(model, background) for model in models)
+        if fast != slow:
+            raise ScenarioFailure(
+                f"{name} on a {where}: memoised {fast!r} s != route walk {slow!r} s")
+        if not spec.param("invalid"):
+            continue
+        # The valid call above filled the memo; a bad background group must
+        # still raise exactly what the route walk raises.
+        bad = background + [rng.choice([[nodes], [0, 0], []])]
+        errors = []
+        for model in models:
+            try:
+                call(model, bad)
+                errors.append(None)
+            except ValueError as error:
+                errors.append(str(error))
+        if errors[0] != errors[1]:
+            raise ScenarioFailure(
+                f"{name} on a {where} with bad background {bad[-1]}: memoised path "
+                f"raised {errors[0]!r}, route walk raised {errors[1]!r}")
+
+
 # ----------------------------------------------------------------- registry
 @dataclass(frozen=True)
 class _Kind:
@@ -834,6 +909,9 @@ SCENARIO_KINDS: Dict[str, _Kind] = {
         _Kind("timing-cache-parity", _sample_timing_cache_parity, _check_timing_cache_parity,
               (("narrow", 0), ("num_nodes", 1), ("workload", "bert"), ("sa", 4),
                ("buffer_kb", 64), ("prediction", True))),
+        _Kind("collective-parity", _sample_collective_parity, _check_collective_parity,
+              (("background", 0), ("chains", 1), ("invalid", False),
+               ("gather_asymmetry", 1.0))),
         _Kind("breakdown-conservation", _sample_breakdown_conservation,
               _check_breakdown_conservation,
               (("active_nodes", 1), ("mapped", True), ("prediction", True))),

@@ -20,14 +20,18 @@ the ``wavefront`` golden kernel and ``repro.cli bench`` all assert it.
 * :func:`translate_tile_scalar` — the per-page translation loop behind
   :meth:`~repro.mmae.data_engine.AcceleratorDataEngine.translate_tile_batch`;
 * :class:`SystolicArrayEmulator` — the per-PE wavefront behind
-  :class:`~repro.mmae.systolic_array.VectorizedSystolicArrayEmulator`.
+  :class:`~repro.mmae.systolic_array.VectorizedSystolicArrayEmulator`;
+* :class:`ReferenceCollectiveCostModel` — a
+  :class:`~repro.parallel.CollectiveCostModel` that walks every X-Y route on
+  every ring step instead of reading the memoised route geometry.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,11 +40,14 @@ from repro.mem.address import align_down
 from repro.mmae.matlb import MatrixLayout, PageTablePredictor
 from repro.mmae.pe import ProcessingElement
 from repro.mmae.systolic_array import TileComputeResult
+from repro.noc.routing import route_hops, route_links
+from repro.parallel.collective import CollectiveCostModel
 from repro.serve.engine import EngineTrace, _FifoQueue, _RoundRobinQueue
 from repro.serve.simulator import ServeSimulator
 from repro.serve.trace import Request, RequestTrace, TenantSpec, _bursty_rates
 
 __all__ = [
+    "ReferenceCollectiveCostModel",
     "ReferenceServeSimulator",
     "SystolicArrayEmulator",
     "bursty_trace_scalar",
@@ -139,8 +146,8 @@ def bursty_trace_scalar(
     """Per-request reference implementation of :func:`~repro.serve.bursty_trace`."""
     if duration_s <= 0:
         raise ValueError(f"duration must be positive, got {duration_s}")
-    if burst_factor < 1:
-        raise ValueError(f"burst factor must be >= 1, got {burst_factor}")
+    if not 1 <= burst_factor < math.inf:  # NaN fails this too
+        raise ValueError(f"burst factor must be finite and >= 1, got {burst_factor}")
     if not 0 < burst_fraction < 1:
         raise ValueError(f"burst fraction must be in (0, 1), got {burst_fraction}")
     if cycle_s <= 0:
@@ -271,6 +278,47 @@ class ReferenceServeSimulator(ServeSimulator):
     """
 
     _segment_runner = staticmethod(run_segment_scalar)
+
+
+# ---------------------------------------------------------- collective pricing
+class ReferenceCollectiveCostModel(CollectiveCostModel):
+    """A :class:`~repro.parallel.CollectiveCostModel` that re-walks every route.
+
+    Each ring step rebuilds the link-load map from fresh X-Y route walks
+    (background groups validated through :meth:`ring_edges` every time), so
+    the five public ``*_seconds`` methods must equal the memoised production
+    model's exactly.
+    """
+
+    def _link_loads(self, edges: Iterable[Tuple[int, int]]) -> Dict[Tuple[int, int], int]:
+        """How many concurrent flows each directed mesh link carries."""
+        loads: Dict[Tuple[int, int], int] = {}
+        for src, dst in edges:
+            for link in route_links(self.topology, src, dst):
+                loads[link] = loads.get(link, 0) + 1
+        return loads
+
+    def _bottleneck_load(self, edges: Sequence[Tuple[int, int]],
+                         background: Sequence[Sequence[int]]) -> int:
+        """Worst link load on the foreground edges' links, background rings overlaid."""
+        overlay = list(edges)
+        for group in background:
+            overlay.extend(self.ring_edges(group))
+        loads = self._link_loads(overlay)
+        worst = 1
+        for src, dst in edges:
+            for link in route_links(self.topology, src, dst):
+                worst = max(worst, loads[link])
+        return worst
+
+    def _step_seconds(self, edges: Sequence[Tuple[int, int]], chunk_bytes: float,
+                      background: Sequence[Sequence[int]]) -> float:
+        load = self._bottleneck_load(edges, background)
+        wire_bytes = chunk_bytes * (1.0 + self.protocol_overhead)
+        serialization = wire_bytes * load / self.config.link_bandwidth_bytes_per_s
+        max_hops = max(route_hops(self.topology, src, dst) for src, dst in edges)
+        latency = (max_hops + 1) * self.config.router_pipeline_cycles * self.config.cycle_time_s
+        return serialization + latency
 
 
 # ------------------------------------------------------- functional fast path

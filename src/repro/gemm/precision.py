@@ -13,6 +13,9 @@ import enum
 
 import numpy as np
 
+_BYTES_PER_ELEMENT = {"fp64": 8, "fp32": 4, "fp16": 2}
+_SIMD_WAYS = {"fp64": 1, "fp32": 2, "fp16": 4}
+
 
 class Precision(enum.Enum):
     """Element precision of a GEMM operand."""
@@ -21,15 +24,13 @@ class Precision(enum.Enum):
     FP32 = "fp32"
     FP16 = "fp16"
 
-    @property
-    def bytes_per_element(self) -> int:
-        """Storage size of one element in bytes."""
-        return {Precision.FP64: 8, Precision.FP32: 4, Precision.FP16: 2}[self]
-
-    @property
-    def simd_ways(self) -> int:
-        """Number of MAC lanes one PE provides in this mode (Fig. 2(b)-(d))."""
-        return {Precision.FP64: 1, Precision.FP32: 2, Precision.FP16: 4}[self]
+    def __init__(self, value: str) -> None:
+        # Plain per-member attributes: read on every GEMM byte count, so no
+        # per-call table build or enum hash.
+        #: Storage size of one element in bytes.
+        self.bytes_per_element: int = _BYTES_PER_ELEMENT[value]
+        #: Number of MAC lanes one PE provides in this mode (Fig. 2(b)-(d)).
+        self.simd_ways: int = _SIMD_WAYS[value]
 
     @property
     def dtype(self) -> np.dtype:

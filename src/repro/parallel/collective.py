@@ -41,11 +41,13 @@ background, which is the steady-state worst case, consistent with how
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from repro.noc.mesh import MeshTopology, NocConfig
-from repro.noc.routing import route_hops, route_links
+from repro.noc.routing import route_links
 
 __all__ = ["DEFAULT_GATHER_ASYMMETRY", "CollectiveCostModel"]
 
@@ -54,6 +56,47 @@ Link = Tuple[int, int]
 #: Default gather-vs-broadcast per-byte cost ratio: csl-experiments measured
 #: D2H gathers at 0.298 words/cycle against H2D broadcasts at 0.868 (~2.9x).
 DEFAULT_GATHER_ASYMMETRY = 2.9
+
+
+def _validated_nodes(width: int, height: int, group: Sequence[int]) -> List[int]:
+    nodes = list(group)
+    if not nodes:
+        raise ValueError("node group cannot be empty")
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"node group has duplicate members: {nodes}")
+    for node in nodes:
+        if not 0 <= node < width * height:
+            raise ValueError(f"node {node} outside the {width}x{height} mesh")
+    return nodes
+
+
+def _ring(nodes: List[int]) -> List[Link]:
+    if len(nodes) < 2:
+        return []
+    return [(nodes[i], nodes[(i + 1) % len(nodes)]) for i in range(len(nodes))]
+
+
+@lru_cache(maxsize=4096)
+def _route_geometry(width: int, height: int, edges: Tuple[Link, ...],
+                    background: Tuple[Tuple[int, ...], ...]) -> Tuple[int, int]:
+    """``(bottleneck link load, deepest hop count)`` of one concurrent step.
+
+    The load is the most concurrent flows on any link the *foreground* edges
+    traverse, with the background rings overlaid.  X-Y routes are
+    deterministic, so this never depends on the payload and is memoised by
+    value across model instances; background groups are validated here, and
+    ``lru_cache`` never stores an exception.
+    """
+    topology = MeshTopology(width, height)
+    routes = [route_links(topology, src, dst) for src, dst in edges]
+    overlay = routes + [
+        route_links(topology, src, dst)
+        for group in background
+        for src, dst in _ring(_validated_nodes(width, height, group))
+    ]
+    loads = Counter(link for route in overlay for link in route)
+    load = max([1] + [loads[link] for route in routes for link in route])
+    return load, max(len(route) for route in routes)
 
 
 @dataclass
@@ -86,10 +129,7 @@ class CollectiveCostModel:
         The ring follows the given group order and wraps around; a group of
         one node has no edges (nothing to exchange).
         """
-        nodes = self._validated_group(group)
-        if len(nodes) < 2:
-            return []
-        return [(nodes[i], nodes[(i + 1) % len(nodes)]) for i in range(len(nodes))]
+        return _ring(self._validated_group(group))
 
     def chain_edges(self, group: Sequence[int]) -> List[Link]:
         """The open chain of the group — the ring without the wrap-around edge.
@@ -101,56 +141,15 @@ class CollectiveCostModel:
         return [(nodes[i], nodes[i + 1]) for i in range(len(nodes) - 1)]
 
     def _validated_group(self, group: Sequence[int]) -> List[int]:
-        nodes = list(group)
-        if not nodes:
-            raise ValueError("node group cannot be empty")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError(f"node group has duplicate members: {nodes}")
-        for node in nodes:
-            if not 0 <= node < self.topology.num_nodes:
-                raise ValueError(
-                    f"node {node} outside the {self.topology.width}x{self.topology.height} mesh",
-                )
-        return nodes
+        return _validated_nodes(self.topology.width, self.topology.height, group)
 
-    def _link_loads(self, edges: Iterable[Link]) -> Dict[Link, int]:
-        """How many concurrent flows each directed mesh link carries."""
-        loads: Dict[Link, int] = {}
-        for src, dst in edges:
-            for link in route_links(self.topology, src, dst):
-                loads[link] = loads.get(link, 0) + 1
-        return loads
-
-    def _bottleneck_load(self, edges: Sequence[Link], background: Sequence[Sequence[int]]) -> int:
-        """Worst link load seen by ``edges`` when background rings run concurrently.
-
-        Background groups contribute their own ring edges to the load map
-        (every group is assumed to be mid-collective — the steady-state worst
-        case); the returned load is the maximum over the links the *foreground*
-        edges actually traverse, so background traffic on disjoint links does
-        not slow the group down.
-        """
-        overlay = list(edges)
-        for group in background:
-            overlay.extend(self.ring_edges(group))
-        loads = self._link_loads(overlay)
-        worst = 1
-        for src, dst in edges:
-            for link in route_links(self.topology, src, dst):
-                worst = max(worst, loads[link])
-        return worst
-
-    def _step_seconds(
-        self,
-        edges: Sequence[Link],
-        chunk_bytes: float,
-        background: Sequence[Sequence[int]],
-    ) -> float:
+    def _step_seconds(self, edges: Sequence[Link], chunk_bytes: float,
+                      background: Sequence[Sequence[int]]) -> float:
         """Time of one ring step: every edge moves ``chunk_bytes`` concurrently."""
-        load = self._bottleneck_load(edges, background)
+        load, max_hops = _route_geometry(self.topology.width, self.topology.height,
+                                         tuple(edges), tuple(map(tuple, background)))
         wire_bytes = chunk_bytes * (1.0 + self.protocol_overhead)
         serialization = wire_bytes * load / self.config.link_bandwidth_bytes_per_s
-        max_hops = max(route_hops(self.topology, src, dst) for src, dst in edges)
         latency = (max_hops + 1) * self.config.router_pipeline_cycles * self.config.cycle_time_s
         return serialization + latency
 

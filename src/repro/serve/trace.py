@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.gemm.precision import Precision
 from repro.serve.report import TICKS_PER_SECOND
-from repro.workloads.registry import workload_names
+from repro.workloads.registry import _resolve, workload_names
 
 __all__ = [
     "Request",
@@ -635,8 +635,8 @@ def bursty_trace(
     Bit-identical to ``repro.conformance.reference.bursty_trace_scalar``.
     """
     _check_duration(duration_s)
-    if burst_factor < 1:
-        raise ValueError(f"burst factor must be >= 1, got {burst_factor}")
+    if not 1 <= burst_factor < math.inf:  # NaN fails this too
+        raise ValueError(f"burst factor must be finite and >= 1, got {burst_factor}")
     if not 0 < burst_fraction < 1:
         raise ValueError(f"burst fraction must be in (0, 1), got {burst_fraction}")
     if cycle_s <= 0:
@@ -734,8 +734,9 @@ def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay")
     ``precision``, ``priority`` and the ``ttft_slo_s``/``tpot_slo_s``
     deadlines are optional (default fp32, priority 0, no deadlines), so
     traces recorded before those fields existed replay unchanged.  Times must
-    be finite and below ``_TICK_LIMIT`` nanoseconds; a record that breaks
-    this is rejected by index and field.  Records
+    be finite and below ``_TICK_LIMIT`` nanoseconds, and workloads must name
+    catalog entries; a record that breaks this is rejected by index and
+    field (the first record carrying a bad workload name).  Records
     are re-sorted and re-numbered, so a hand-edited file stays valid — unless
     they carry explicit ``request_id`` fields, which must then be unique and
     increasing in file order (a duplicated or out-of-order id in a recorded
@@ -803,6 +804,11 @@ def replay_trace(source: Union[str, Path, Iterable[dict]], name: str = "replay")
             raise ValueError(
                 f"replay record {sequence} is missing request_id but earlier records "
                 f"carry one; ids must be present on all records or none")
+        if workload not in workload_index:
+            try:
+                _resolve(workload)
+            except ValueError as error:
+                raise ValueError(f"replay record {sequence}: field 'workload': {error}") from None
         precision = Precision.from_string(record.get("precision", "fp32"))
         arrivals.append(arrival)
         tenant_ids.append(tenant_index.setdefault(tenant, len(tenant_index)))

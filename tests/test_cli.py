@@ -260,6 +260,13 @@ class TestServeCommand:
         assert captured.out == ""
         assert message in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.5"])
+    def test_bad_burst_factor_is_an_error_naming_the_flag(self, capsys, value):
+        assert main(self.ARGV + ["--trace", "bursty", "--burst-factor", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --burst-factor must be finite and >= 1" in captured.err
+
     def test_rate_too_small_for_the_tick_clock_is_an_error(self, capsys):
         assert main(self.ARGV + ["--utilization", "1e-12", "--format", "json"]) == 2
         captured = capsys.readouterr()

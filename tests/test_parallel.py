@@ -21,6 +21,7 @@ from repro.core import DesignSpaceExplorer, SweepRunner, maco_default_config
 from repro.core.explorer import DesignPoint
 from repro.core.perf import TimingCache, memory_environment
 from repro.gemm.precision import Precision
+from repro.noc.mesh import NocConfig
 from repro.parallel import (
     DEFAULT_GATHER_ASYMMETRY,
     OVERHEAD_COMPONENT_SHARES,
@@ -35,6 +36,7 @@ from repro.parallel import (
     summa_pipeline_seconds,
     summa_steps,
 )
+from repro.parallel.collective import _route_geometry
 from repro.workloads import workload_catalog, workload_graph_by_name
 
 #: Small graphs that still exercise every phase kind (fast to time).
@@ -214,6 +216,61 @@ class TestCollectiveCostModel:
         # direction-agnostic), so equal knob steps add equal serialization.
         assert seconds[3.0] - seconds[2.0] == pytest.approx(
             seconds[2.0] - seconds[1.0], rel=1e-12)
+
+
+class TestRouteGeometryMemo:
+    """Route geometry is memoised by value, across model instances."""
+
+    GROUP = [0, 1, 5, 4]
+    PAYLOAD = 8 << 20
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _route_geometry.cache_clear()
+
+    def test_equal_noc_configs_share_entries(self):
+        first = CollectiveCostModel(config=NocConfig())
+        seconds = first.ring_allreduce_seconds(self.GROUP, self.PAYLOAD, [[2, 3]])
+        filled = _route_geometry.cache_info()
+        second = CollectiveCostModel(config=NocConfig())
+        assert second.ring_allreduce_seconds(self.GROUP, self.PAYLOAD, [[2, 3]]) == seconds
+        info = _route_geometry.cache_info()
+        assert (info.currsize, info.misses) == (filled.currsize, filled.misses) == (1, 1)
+        assert info.hits == filled.hits + 1
+
+    def test_different_mesh_sizes_do_not_share_entries(self):
+        square = CollectiveCostModel(config=NocConfig(width=4, height=4))
+        wide = CollectiveCostModel(config=NocConfig(width=8, height=2))
+        square.ring_allreduce_seconds(self.GROUP, self.PAYLOAD)
+        wide.ring_allreduce_seconds(self.GROUP, self.PAYLOAD)
+        info = _route_geometry.cache_info()
+        assert (info.currsize, info.hits, info.misses) == (2, 0, 2)
+        # On the 8-wide mesh nodes 4 and 5 sit on row 0, so the ring's
+        # routes (and price) differ from the 4x4 mesh's.
+        assert square.ring_allreduce_seconds(self.GROUP, self.PAYLOAD) != \
+            wide.ring_allreduce_seconds(self.GROUP, self.PAYLOAD)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([0, 99], "node 99 outside the 4x4 mesh"),
+        ([16], "node 16 outside the 4x4 mesh"),
+        ([2, 2], "duplicate members"),
+        ([], "cannot be empty"),
+    ])
+    def test_bad_background_raises_after_a_valid_call_filled_the_memo(self, bad, message):
+        model = CollectiveCostModel()
+        model.ring_allreduce_seconds(self.GROUP, self.PAYLOAD, [[2, 3]])
+        for _ in range(2):  # an exception is never memoised
+            with pytest.raises(ValueError, match=message):
+                model.ring_allreduce_seconds(self.GROUP, self.PAYLOAD, [[2, 3], bad])
+        assert _route_geometry.cache_info().currsize == 1
+
+    def test_symmetric_gather_equals_all_gather_on_a_warm_memo(self):
+        model = CollectiveCostModel(gather_asymmetry=1.0)
+        background = [[2, 3], [8, 9, 12]]
+        expected = model.all_gather_seconds(self.GROUP, self.PAYLOAD, background)
+        assert _route_geometry.cache_info().misses == 1
+        assert model.gather_seconds(self.GROUP, self.PAYLOAD, background) == expected
+        assert _route_geometry.cache_info().misses == 1
 
 
 class TestSummaPrimitives:

@@ -89,6 +89,12 @@ class TestTraces:
         in_burst = sum(1 for r in bursty if (r.arrival_s % 0.5) / 0.5 < 0.2)
         assert in_burst / len(bursty) > 0.8  # arrivals concentrate in the bursts
 
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, 0.5])
+    def test_bursty_rejects_non_finite_or_small_burst_factor(self, factor):
+        specs = [TenantSpec(name="a", rate_rps=5.0, mix=(("bert", 1.0),))]
+        with pytest.raises(ValueError, match="burst factor must be finite and >= 1"):
+            bursty_trace(specs, duration_s=1.0, burst_factor=factor)
+
     def test_default_tenants_rotate_dominant_workload(self):
         specs = default_tenants(3)
         dominants = [max(spec.mix, key=lambda item: item[1])[0] for spec in specs]
@@ -104,6 +110,13 @@ class TestTraces:
     def test_replay_rejects_malformed_records(self):
         with pytest.raises(ValueError):
             replay_trace([{"tenant": "a"}])
+
+    def test_replay_names_the_first_record_with_an_unknown_workload(self):
+        good = {"tenant": "t0", "workload": "bert", "arrival_s": 1.0}
+        bad = {**good, "workload": "x"}
+        with pytest.raises(ValueError,
+                           match=r"^replay record 1: field 'workload': unknown workload 'x'"):
+            replay_trace([good, bad, bad])
 
     @pytest.mark.parametrize("key", ["arrival_s", "ttft_slo_s", "tpot_slo_s"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e300])
