@@ -19,29 +19,29 @@ grids, :func:`~repro.parallel.plan_parallel`) is re-exported here lazily so
 ``import repro`` stays cheap.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.version import __version__
 
-#: Names resolved lazily from :mod:`repro.parallel` (PEP 562) so that bare
-#: ``import repro`` does not pay for the planner's NumPy-backed dependencies.
-_PARALLEL_EXPORTS = (
+if TYPE_CHECKING:
+    from repro.parallel import (
+        OverheadBreakdown,
+        PARALLELISM_STRATEGIES,
+        ParallelPlan,
+        ParallelismSpec,
+        node_groups,
+        plan_parallel,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, __file__)
+
+__all__ = [
+    "__version__",
     "OverheadBreakdown",
     "PARALLELISM_STRATEGIES",
     "ParallelPlan",
     "ParallelismSpec",
     "node_groups",
     "plan_parallel",
-)
-
-__all__ = ["__version__", *_PARALLEL_EXPORTS]
-
-
-def __getattr__(name: str):
-    if name in _PARALLEL_EXPORTS:
-        import repro.parallel as _parallel
-
-        return getattr(_parallel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | set(_PARALLEL_EXPORTS))
+]

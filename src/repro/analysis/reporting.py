@@ -13,8 +13,6 @@ import io
 import math
 from typing import Dict, Iterable, Sequence
 
-import numpy as np
-
 #: Below this sample size ``sorted`` beats the array round-trip, so the
 #: scalar path stays the default for the small per-tenant samples.
 _VECTOR_THRESHOLD = 1024
@@ -32,6 +30,8 @@ def percentile(values: Sequence[float], q: float) -> float:
     index in O(n) — it selects exactly the element ``sorted`` would, so both
     paths are bit-identical.
     """
+    import numpy as np
+
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must be in 0..100, got {q}")
     size = len(values)
@@ -45,6 +45,8 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 def latency_summary(values: Sequence[float]) -> Dict[str, float]:
     """Mean plus the p50/p95/p99 nearest-rank percentiles of a latency sample."""
+    import numpy as np
+
     if len(values) == 0:
         raise ValueError("cannot summarise an empty latency sample")
     if isinstance(values, np.ndarray) or len(values) >= _VECTOR_THRESHOLD:

@@ -28,40 +28,29 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
-from repro.analysis import (
-    compare_cpu_mmae,
-    efficiency_by_size,
-    efficiency_gap,
+# Module-level imports cover only what ``explore`` (and ``workloads``) run —
+# the analytic timing model, which is NumPy-free.  Every other handler
+# imports its own dependencies, so ``python -m repro.cli explore`` never
+# loads the serving stack, the baselines or the functional emulators.
+from repro.analysis.reporting import (
     format_gflops,
     format_percent,
     render_csv,
     render_series,
     render_table,
 )
-from repro.baselines import (
-    CPUOnlyBaseline,
-    GemminiLikeBaseline,
-    NoMappingBaseline,
-    RASALikeBaseline,
-    compare_systems,
-)
-from repro.core import (
-    DesignSpaceExplorer,
-    MACOSystem,
-    SweepRunner,
-    maco_default_config,
-    pareto_front,
-    sweep_prediction,
-    sweep_scalability,
-)
-from repro.gemm import GEMMShape, Precision, hpl_like_workloads
-from repro.gemm.workloads import FIG6_MATRIX_SIZES, FIG7_MATRIX_SIZES
-from repro.serve.scheduler import SCHEDULER_NAMES
-from repro.workloads import (
-    WorkloadGraph,
+from repro.core.batch import SweepRunner
+from repro.core.config import maco_default_config
+from repro.core.explorer import DesignSpaceExplorer, pareto_front
+from repro.gemm.precision import Precision
+from repro.gemm.workloads import FIG6_MATRIX_SIZES, FIG7_MATRIX_SIZES, GEMMShape, hpl_like_workloads
+from repro.policy_names import SCHEDULER_NAMES
+from repro.workloads.graph import WorkloadGraph
+from repro.workloads.registry import (
     catalog_entry,
     describe_workload,
     dl_benchmark_suite,
@@ -71,6 +60,8 @@ from repro.workloads import (
 
 
 def _cmd_gemm(args: argparse.Namespace) -> int:
+    from repro.core.maco import MACOSystem
+
     config = maco_default_config(num_nodes=args.nodes, prediction_enabled=not args.no_prediction)
     system = MACOSystem(config)
     shape = GEMMShape(args.size, args.size, args.size, Precision.from_string(args.precision))
@@ -82,6 +73,9 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
+    from repro.analysis.efficiency import efficiency_by_size, efficiency_gap
+    from repro.core.perf import sweep_prediction
+
     config = maco_default_config()
     sizes = list(FIG6_MATRIX_SIZES)
     points = sweep_prediction(config, sizes, jobs=args.jobs)
@@ -102,6 +96,9 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
+    from repro.analysis.efficiency import efficiency_by_size
+    from repro.core.perf import sweep_scalability
+
     config = maco_default_config()
     sizes = list(FIG7_MATRIX_SIZES)
     node_counts = [1, 2, 4, 8, 16]
@@ -118,6 +115,15 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
+    from repro.baselines import (
+        CPUOnlyBaseline,
+        GemminiLikeBaseline,
+        NoMappingBaseline,
+        RASALikeBaseline,
+        compare_systems,
+    )
+    from repro.core.maco import MACOSystem
+
     config = maco_default_config(num_nodes=args.nodes)
     suite = dl_benchmark_suite()
     systems = [CPUOnlyBaseline(config), NoMappingBaseline(config),
@@ -146,6 +152,8 @@ def _explore_workload(args: argparse.Namespace):
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    if args.sample != "grid" and args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     explorer = DesignSpaceExplorer()
     points = DesignSpaceExplorer.sample(args.sample, args.points, seed=args.seed)
     if args.sample == "grid" and args.points != 64:
@@ -476,6 +484,7 @@ def _parse_slo(text: str) -> tuple:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.core.maco import MACOSystem
     from repro.serve import (
         ServeSimulator,
         bursty_trace,
@@ -491,11 +500,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         kv_budget_bytes = "auto"
     else:
         try:
-            megabytes = float(args.kv_budget)
+            kv_budget_bytes = float(args.kv_budget) * 1e6
         except ValueError:
-            raise ValueError(
-                f"--kv-budget must be a size in MB or 'auto', got {args.kv_budget!r}")
-        kv_budget_bytes = float("inf") if megabytes == 0 else megabytes * 1e6
+            kv_budget_bytes = math.nan
+        if not 0 <= kv_budget_bytes < math.inf:
+            raise ValueError(f"--kv-budget must be a finite size in MB >= 0 "
+                             f"(0 = unlimited) or 'auto', got {args.kv_budget!r}")
+        if kv_budget_bytes == 0:
+            kv_budget_bytes = math.inf
     autoscale = None
     if args.autoscale:
         from repro.serve import AutoscalePolicy
@@ -544,7 +556,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         trace = replay_trace(args.trace_file)
     else:
         if args.requests < 1:
-            raise ValueError(f"request target must be >= 1, got {args.requests}")
+            raise ValueError(f"--requests must be >= 1, got {args.requests}")
         if args.trace == "bursty" and not 1 <= args.burst_factor < float("inf"):
             raise ValueError(f"--burst-factor must be finite and >= 1, got {args.burst_factor}")
         if args.tenant_mix == "llm":
@@ -671,6 +683,8 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
 
 
 def _cmd_table4(args: argparse.Namespace) -> int:
+    from repro.analysis.area_power import compare_cpu_mmae
+
     comparison = compare_cpu_mmae()
     print(render_table(
         ["", "Freq (GHz)", "Area (mm2)", "Power (W)", "FMACs", "Peak Perf (GFLOPS)"],

@@ -13,57 +13,64 @@ packages.  Typical entry points:
   scenarios (``repro.cli serve``).
 """
 
-from repro.core.config import (
-    CPUConfig,
-    MMAEConfig,
-    MemoryConfig,
-    MACOConfig,
-    maco_default_config,
-)
-from repro.core.compute_node import ComputeNode, GEMMSubmission
-from repro.core.maco import MACOSystem
-from repro.core.mapping import (
-    MappingPlan,
-    NodeAssignment,
-    GemmPlusSchedule,
-    partition_gemm,
-    partition_shapes,
-    partition_workload,
-    schedule_gemm_plus,
-)
-from repro.core.metrics import (
-    NodeResult,
-    SystemResult,
-    WorkloadResult,
-    speedup,
-    geometric_mean,
-    average_efficiency,
-)
-from repro.core.perf import (
-    DEFAULT_TIMING_CACHE,
-    EfficiencyPoint,
-    TimingCache,
-    config_fingerprint,
-    estimate_node_gemm,
-    estimate_node_gemm_cached,
-    memory_environment,
-    noc_contention_model,
-    node_peak_gflops,
-    slowest_partition_seconds,
-    sweep_prediction,
-    sweep_scalability,
-    unmapped_memory_environment,
-)
-from repro.core.runtime import MACORuntime, AsyncHandle
-from repro.core.batch import SweepRunner
-from repro.core.explorer import (
-    DesignPoint,
-    DesignSpaceExplorer,
-    EvaluationResult,
-    GraphEvaluationResult,
-    PhaseResult,
-    pareto_front,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.config import (
+        CPUConfig,
+        MMAEConfig,
+        MemoryConfig,
+        MACOConfig,
+        maco_default_config,
+    )
+    from repro.core.compute_node import ComputeNode, GEMMSubmission
+    from repro.core.maco import MACOSystem
+    from repro.core.mapping import (
+        MappingPlan,
+        NodeAssignment,
+        GemmPlusSchedule,
+        partition_gemm,
+        partition_shapes,
+        partition_workload,
+        schedule_gemm_plus,
+    )
+    from repro.core.metrics import (
+        NodeResult,
+        SystemResult,
+        WorkloadResult,
+        speedup,
+        geometric_mean,
+        average_efficiency,
+    )
+    from repro.core.perf import (
+        DEFAULT_TIMING_CACHE,
+        EfficiencyPoint,
+        TimingCache,
+        config_fingerprint,
+        estimate_node_gemm,
+        estimate_node_gemm_cached,
+        memory_environment,
+        noc_contention_model,
+        node_peak_gflops,
+        slowest_partition_seconds,
+        sweep_prediction,
+        sweep_scalability,
+        unmapped_memory_environment,
+    )
+    from repro.core.runtime import MACORuntime, AsyncHandle
+    from repro.core.batch import SweepRunner
+    from repro.core.explorer import (
+        DesignPoint,
+        DesignSpaceExplorer,
+        EvaluationResult,
+        GraphEvaluationResult,
+        PhaseResult,
+        pareto_front,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, __file__)
 
 __all__ = [
     "DesignPoint",

@@ -21,7 +21,6 @@ pool preserves task order and the workers run exactly the serial code.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -151,6 +150,8 @@ class SweepRunner:
         tasks = list(tasks)
         if self.jobs <= 1 or len(tasks) <= 1:
             return [worker((task, self.cache)) for task in tasks]
+        import multiprocessing
+
         processes = min(self.jobs, len(tasks))
         payloads = [(task, None) for task in tasks]
         chunksize = max(1, len(payloads) // (processes * 4))

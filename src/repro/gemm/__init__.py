@@ -8,24 +8,31 @@ validate the systolic-array model, and generators for the synthetic (HPL-like)
 and deep-learning GEMM workloads the evaluation sweeps.
 """
 
-from repro.gemm.precision import Precision
-from repro.gemm.workloads import (
-    GEMMShape,
-    GEMMWorkload,
-    paper_matrix_sizes,
-    square_workload,
-    sweep_square_sizes,
-    random_workloads,
-    hpl_like_workloads,
-)
-from repro.gemm.tiling import TileConfig, Tile, TwoLevelTiling, tile_ranges
-from repro.gemm.reference import (
-    reference_gemm,
-    blocked_gemm,
-    conv2d_reference,
-    im2col_patches,
-    tiled_gemm_trace,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.gemm.precision import Precision
+    from repro.gemm.workloads import (
+        GEMMShape,
+        GEMMWorkload,
+        paper_matrix_sizes,
+        square_workload,
+        sweep_square_sizes,
+        random_workloads,
+        hpl_like_workloads,
+    )
+    from repro.gemm.tiling import TileConfig, Tile, TwoLevelTiling, tile_ranges
+    from repro.gemm.reference import (
+        reference_gemm,
+        blocked_gemm,
+        conv2d_reference,
+        im2col_patches,
+        tiled_gemm_trace,
+    )
+
+__getattr__, __dir__ = lazy_exports(__name__, __file__)
 
 __all__ = [
     "Precision",

@@ -10,11 +10,15 @@ models, and the SIMD packing factor of each mode.
 from __future__ import annotations
 
 import enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _BYTES_PER_ELEMENT = {"fp64": 8, "fp32": 4, "fp16": 2}
 _SIMD_WAYS = {"fp64": 1, "fp32": 2, "fp16": 4}
+#: FP16 inputs accumulate in FP32; the other precisions accumulate in kind.
+_ACCUMULATOR = {"fp64": "fp64", "fp32": "fp32", "fp16": "fp32"}
 
 
 class Precision(enum.Enum):
@@ -31,10 +35,14 @@ class Precision(enum.Enum):
         self.bytes_per_element: int = _BYTES_PER_ELEMENT[value]
         #: Number of MAC lanes one PE provides in this mode (Fig. 2(b)-(d)).
         self.simd_ways: int = _SIMD_WAYS[value]
+        #: Storage size of one accumulator element in bytes.
+        self.accumulate_bytes: int = _BYTES_PER_ELEMENT[_ACCUMULATOR[value]]
 
     @property
     def dtype(self) -> np.dtype:
         """NumPy dtype used by the functional models."""
+        import numpy as np
+
         return {
             Precision.FP64: np.dtype(np.float64),
             Precision.FP32: np.dtype(np.float32),
@@ -44,9 +52,7 @@ class Precision(enum.Enum):
     @property
     def accumulate_dtype(self) -> np.dtype:
         """Accumulator dtype: FP16 inputs accumulate in FP32, others in kind."""
-        if self is Precision.FP16:
-            return np.dtype(np.float32)
-        return self.dtype
+        return Precision(_ACCUMULATOR[self.value]).dtype
 
     @classmethod
     def from_string(cls, name: str) -> "Precision":

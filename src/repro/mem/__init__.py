@@ -10,21 +10,28 @@ package models explicitly:
 * bandwidth/latency of the DDR memory controllers behind the L3.
 """
 
-from repro.mem.address import (
-    AddressRange,
-    align_down,
-    align_up,
-    cache_index,
-    cache_tag,
-    page_number,
-    page_offset,
-)
-from repro.mem.page_table import AddressSpace, FrameAllocator, PageTable, PageTableWalker
-from repro.mem.tlb import TLB, TLBEntry, TLBHierarchy
-from repro.mem.cache import CacheConfig, CacheStats, SetAssociativeCache
-from repro.mem.coherence import CoherenceState, DirectoryController, DirectoryEntry
-from repro.mem.l3cache import DistributedL3Cache, L3Slice, StashRequest
-from repro.mem.dram import DRAMConfig, DRAMModel
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.mem.address import (
+        AddressRange,
+        align_down,
+        align_up,
+        cache_index,
+        cache_tag,
+        page_number,
+        page_offset,
+    )
+    from repro.mem.page_table import AddressSpace, FrameAllocator, PageTable, PageTableWalker
+    from repro.mem.tlb import TLB, TLBEntry, TLBHierarchy
+    from repro.mem.cache import CacheConfig, CacheStats, SetAssociativeCache
+    from repro.mem.coherence import CoherenceState, DirectoryController, DirectoryEntry
+    from repro.mem.l3cache import DistributedL3Cache, L3Slice, StashRequest
+    from repro.mem.dram import DRAMConfig, DRAMModel
+
+__getattr__, __dir__ = lazy_exports(__name__, __file__)
 
 __all__ = [
     "AddressRange",

@@ -9,11 +9,12 @@ latency is what the mATLB's predictive translation hides (paper Section IV.A).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.mem.address import DEFAULT_PAGE_SIZE, page_number, page_offset
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PageFaultError(Exception):
@@ -97,6 +98,8 @@ class PageTable:
         pages are resolved through the entry dict once and broadcast back over
         the address array.
         """
+        import numpy as np
+
         v = np.asarray(vaddrs, dtype=np.int64)
         shift = self.page_size.bit_length() - 1
         uniq, inverse = np.unique(v >> shift, return_inverse=True)
@@ -112,6 +115,8 @@ class PageTable:
         Equivalent to calling :meth:`translate` per address, including raising
         :class:`PageFaultError` for the first unmapped address in input order.
         """
+        import numpy as np
+
         v = np.asarray(vaddrs, dtype=np.int64)
         shift = self.page_size.bit_length() - 1
         vpns = v >> shift
@@ -268,6 +273,8 @@ class PageTableWalker:
         touched, so callers that need the scalar loop's partial-progress fault
         semantics must pre-filter with :meth:`PageTable.mapped_mask`.
         """
+        import numpy as np
+
         v = np.asarray(vaddrs, dtype=np.int64)
         paddrs = page_table.translate_batch(v)
         shift = page_table.page_size.bit_length() - 1

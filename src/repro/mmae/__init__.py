@@ -15,25 +15,32 @@ Fig. 2).  The MMAE contains:
   streams (paper Section IV.A).
 """
 
-from repro.mmae.pe import ProcessingElement
-from repro.mmae.systolic_array import (
-    SystolicArray,
-    TileComputeResult,
-    VectorizedSystolicArrayEmulator,
-)
-from repro.mmae.buffers import ScratchpadBuffer, BufferSet, BufferAllocationError
-from repro.mmae.dma import DMAEngine, DMATransferResult
-from repro.mmae.matlb import MATLB, TranslationStallEstimate, PageTablePredictor
-from repro.mmae.stq import SlaveTaskQueue, STQEntry, STQEntryState
-from repro.mmae.data_engine import AcceleratorDataEngine, TileTransferPlan
-from repro.mmae.dataflow import (
-    MMAETimingParameters,
-    TileSchedule,
-    GEMMTimingBreakdown,
-    build_tile_schedule,
-    estimate_gemm_timing,
-)
-from repro.mmae.controller import AcceleratorController, TaskResult
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.mmae.pe import ProcessingElement
+    from repro.mmae.systolic_array import (
+        SystolicArray,
+        TileComputeResult,
+        VectorizedSystolicArrayEmulator,
+    )
+    from repro.mmae.buffers import ScratchpadBuffer, BufferSet, BufferAllocationError
+    from repro.mmae.dma import DMAEngine, DMATransferResult
+    from repro.mmae.matlb import MATLB, TranslationStallEstimate, PageTablePredictor
+    from repro.mmae.stq import SlaveTaskQueue, STQEntry, STQEntryState
+    from repro.mmae.data_engine import AcceleratorDataEngine, TileTransferPlan
+    from repro.mmae.dataflow import (
+        MMAETimingParameters,
+        TileSchedule,
+        GEMMTimingBreakdown,
+        build_tile_schedule,
+        estimate_gemm_timing,
+    )
+    from repro.mmae.controller import AcceleratorController, TaskResult
+
+__getattr__, __dir__ = lazy_exports(__name__, __file__)
 
 __all__ = [
     "ProcessingElement",

@@ -103,7 +103,7 @@ class BufferSet:
         factor = 2 if double_buffered else 1
         a_bytes = ttr * ttk * element * factor
         b_bytes = ttk * ttc * element * factor
-        c_bytes = ttr * ttc * precision.accumulate_dtype.itemsize
+        c_bytes = ttr * ttc * precision.accumulate_bytes
         if a_bytes > self.a.capacity_bytes:
             raise BufferAllocationError(
                 f"A tile ({ttr}x{ttk}, {a_bytes} bytes incl. double buffering) exceeds "

@@ -23,14 +23,15 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.gemm.tiling import TileConfig, TwoLevelTiling
 from repro.gemm.workloads import GEMMShape
 from repro.mem.address import DEFAULT_PAGE_SIZE, align_down
 from repro.mem.page_table import PageFaultError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # --------------------------------------------------------------------------- prediction
@@ -92,6 +93,8 @@ class PageTablePredictor:
         returned array is the tile's page-aligned addresses minus
         ``align_down(first_element_vaddr, page_size)``, in access order.
         """
+        import numpy as np
+
         shift = self.page_size.bit_length() - 1
         rows = np.arange(row_count, dtype=np.int64)
         row_first = first_offset + rows * row_stride_bytes
@@ -240,6 +243,8 @@ class MATLB:
         (Like the batched TLB path, this assumes the TLBs are consistent with
         the page table — i.e. no unmap without a flush, which no caller does.)
         """
+        import numpy as np
+
         v = np.asarray(page_vaddrs, dtype=np.int64)
         if v.size == 0:
             return 0
@@ -298,6 +303,8 @@ class MATLB:
         sequence exactly (lookups never change membership, so one pass over the
         batch suffices).
         """
+        import numpy as np
+
         v = np.asarray(vaddrs, dtype=np.int64)
         page_mask = self.page_size - 1
         entries = self._entries

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.gemm.precision import Precision
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -152,6 +153,8 @@ class SystolicArray:
         twin of the MMAE controller's tiled execution, small enough for the
         conformance harness to check against a plain NumPy golden.
         """
+        import numpy as np
+
         from repro.gemm.tiling import PAPER_LEVEL1, PAPER_LEVEL2, TwoLevelTiling
         from repro.gemm.workloads import GEMMShape
 
@@ -218,6 +221,8 @@ class VectorizedSystolicArrayEmulator:
         The B block must match the array dimensions exactly (one stationary
         element per PE, single-lane mode), as in the reference emulator.
         """
+        import numpy as np
+
         if self.precision.simd_ways != 1:
             raise NotImplementedError("the emulator models the single-lane (FP64) dataflow")
         rows, cols = self.rows, self.cols

@@ -39,6 +39,7 @@ import heapq
 from collections import OrderedDict, deque
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.policy_names import SCHEDULER_NAMES
 from repro.serve.trace import Request
 
 __all__ = [
@@ -238,10 +239,6 @@ class RoundRobinScheduler(BatchingPolicy):
 
     def __len__(self) -> int:
         return self._size
-
-
-#: CLI-facing policy names in the order they are documented.
-SCHEDULER_NAMES = ("fcfs", "sjf", "rr", "priority", "slo")
 
 
 def scheduler_by_name(

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from repro.gemm.precision import Precision
 from repro.workloads.graph import Phase, PhaseKind, WorkloadGraph
 from repro.workloads.layers import attention_gemms, elementwise_cost, linear_gemm
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MoEConfig",
@@ -61,6 +62,8 @@ def route_topk(logits: np.ndarray, top_k: int) -> Tuple[np.ndarray, np.ndarray]:
     tail that :func:`moe_workload_graph` charges as element-wise work; the
     conformance harness checks it against a per-token Python reference.
     """
+    import numpy as np
+
     if logits.ndim != 2:
         raise ValueError(f"expected (tokens, experts) logits, got shape {logits.shape}")
     tokens, experts = logits.shape

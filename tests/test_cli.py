@@ -53,17 +53,17 @@ class TestCommands:
     def test_fig7_builds_each_node_series_once(self, capsys, monkeypatch):
         """Regression: efficiency_by_size must run once per node count, not
         once per (node count, matrix size) cell."""
-        import repro.cli as cli_module
+        import repro.analysis.efficiency as efficiency_module
 
         calls = []
-        original = cli_module.efficiency_by_size
+        original = efficiency_module.efficiency_by_size
 
         def counting(points, **kwargs):
             calls.append(kwargs)
             return original(points, **kwargs)
 
-        monkeypatch.setattr(cli_module, "efficiency_by_size", counting)
-        assert cli_module.main(["fig7"]) == 0
+        monkeypatch.setattr(efficiency_module, "efficiency_by_size", counting)
+        assert main(["fig7"]) == 0
         capsys.readouterr()
         assert len(calls) == 5  # the five node counts
 
@@ -154,8 +154,13 @@ class TestExploreCommand:
         assert main(["explore", "--jobs", "0"]) == 2
         captured = capsys.readouterr()
         assert "error: jobs must be >= 1" in captured.err
-        assert main(["explore", "--sample", "random", "--points", "0"]) == 2
-        assert "error: count must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_non_positive_points_is_an_error_naming_the_flag(self, capsys, points):
+        assert main(["explore", "--sample", "random", "--points", points]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --points must be >= 1, got {points}" in captured.err
 
 
 class TestServeCommand:
@@ -266,6 +271,28 @@ class TestServeCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: --burst-factor must be finite and >= 1" in captured.err
+
+    @pytest.mark.parametrize("requests", ["0", "-5"])
+    def test_non_positive_requests_is_an_error_naming_the_flag(self, capsys, requests):
+        assert main(self.ARGV + ["--requests", requests]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --requests must be >= 1, got {requests}" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "1e303", "lots"])
+    def test_bad_kv_budget_is_an_error_naming_the_flag(self, capsys, value):
+        assert main(self.ARGV + ["--batching", "step", "--kv-budget", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"error: --kv-budget must be a finite size in MB >= 0 (0 = unlimited) "
+                f"or 'auto', got {value!r}") in captured.err
+
+    def test_zero_kv_budget_means_unlimited(self, capsys):
+        argv = self.ARGV + ["--batching", "step", "--format", "json"]
+        assert main(argv + ["--kv-budget", "0"]) == 0
+        unlimited = capsys.readouterr().out
+        assert main(argv + ["--kv-budget", "1e9"]) == 0
+        assert capsys.readouterr().out == unlimited
 
     def test_rate_too_small_for_the_tick_clock_is_an_error(self, capsys):
         assert main(self.ARGV + ["--utilization", "1e-12", "--format", "json"]) == 2
