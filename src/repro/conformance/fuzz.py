@@ -46,7 +46,15 @@ the properties the repo stakes out as exact:
 * ``breakdown-conservation`` — every ``GEMMTimingBreakdown`` component is
   finite and non-negative, and overlapped (``max(compute, DMA)``) +
   translation stall + fill + setup reproduces ``total_cycles`` exactly in the
-  model's summation order.
+  model's summation order;
+* ``summa-overhead`` — the closed-form SUMMA overhead factor
+  ``(rows + cols + tr - 2) / tr`` equals, bit for bit, the cycles over ideal
+  MAC cycles that the functional wavefront emulator measures on a
+  ``tr x rows @ rows x cols`` block, and the emulator's product is exact;
+* ``tile-schedule-parity`` — the per-tile-extent memoised tile schedule and
+  translation-stall estimate equal, field for field, the per-tile walks of
+  :mod:`repro.conformance.reference` across shapes, tilings, precisions,
+  array sizes, L3 shares, page sizes and prediction on/off.
 
 Everything is seeded stdlib :mod:`random` (no new dependency): case ``i`` of
 run seed ``S`` draws from ``random.Random(f"{S}:{i}")``, and kinds rotate
@@ -871,6 +879,105 @@ def _check_collective_parity(spec: ScenarioSpec) -> None:
                 f"raised {errors[0]!r}, route walk raised {errors[1]!r}")
 
 
+# ----------------------------------------------------------- summa-overhead
+def _sample_summa_overhead(rng: random.Random) -> ScenarioSpec:
+    return _spec(
+        "summa-overhead",
+        rows=rng.randint(1, 8),
+        cols=rng.randint(1, 8),
+        tr=rng.choice([rng.randint(1, 8), rng.randint(1, 200)]),
+    )
+
+
+def _check_summa_overhead(spec: ScenarioSpec) -> None:
+    from repro.mmae.systolic_array import VectorizedSystolicArrayEmulator
+    from repro.parallel.summa import calibrate_overhead_factor
+
+    rows, cols, tr = (int(spec.param(name)) for name in ("rows", "cols", "tr"))
+    result = VectorizedSystolicArrayEmulator(rows=rows, cols=cols).run_block(
+        np.ones((tr, rows), dtype=np.float64), np.ones((rows, cols), dtype=np.float64)
+    )
+    where = f"{tr}x{rows} @ {rows}x{cols} block"
+    if not np.array_equal(result.output, np.full((tr, cols), float(rows))):
+        raise ScenarioFailure(f"{where}: the emulator's product is not the all-{rows} matrix")
+    measured = result.cycles / (result.macs / (rows * cols))
+    breakdown = calibrate_overhead_factor(rows, cols, tr)
+    if breakdown.factor != measured:
+        raise ScenarioFailure(
+            f"{where}: closed-form factor {breakdown.factor!r} != emulator "
+            f"{result.cycles} cycles over {result.macs} MACs = {measured!r}"
+        )
+    if calibrate_overhead_factor(rows, cols, tr) is not breakdown:
+        raise ScenarioFailure(f"{where}: the breakdown is not memoised per geometry")
+
+
+# ----------------------------------------------------- tile-schedule-parity
+def _sample_tile_schedule_parity(rng: random.Random) -> ScenarioSpec:
+    def tile() -> int:
+        return rng.choice([16, 32, 64, 128, 256, 512, 1024])
+
+    def level2(bound: int) -> int:
+        return rng.choice([size for size in (4, 8, 16, 32, 64) if size <= bound])
+
+    l1_rows, l1_cols, l1_depth = tile(), tile(), rng.choice([0, tile()])
+    return _spec(
+        "tile-schedule-parity",
+        # At most 12 first-level tiles per axis keeps the per-tile oracle cheap.
+        m=rng.randint(1, 12 * l1_rows),
+        n=rng.randint(1, 12 * l1_cols),
+        k=rng.randint(1, 12 * (l1_depth or l1_cols)),
+        l1_rows=l1_rows,
+        l1_cols=l1_cols,
+        l1_depth=l1_depth,
+        l2_rows=level2(l1_rows),
+        l2_cols=level2(l1_cols),
+        l2_depth=rng.choice([0, level2(64)]),
+        precision=rng.choice(["fp64", "fp32", "fp16"]),
+        sa=rng.choice([2, 4, 8]),
+        l3_share=int(2 ** rng.uniform(10.0, 26.0)),
+        page_size=rng.choice([4096, 16384, 65536, 2 * 1024 * 1024]),
+        tlb_entries=rng.choice([16, 256, 1024]),
+        prediction=rng.random() < 0.5,
+    )
+
+
+def _check_tile_schedule_parity(spec: ScenarioSpec) -> None:
+    from repro.conformance.reference import (
+        build_tile_schedule_scalar,
+        estimate_translation_stalls_scalar,
+    )
+    from repro.gemm.precision import Precision
+    from repro.gemm.tiling import TileConfig
+    from repro.gemm.workloads import GEMMShape
+    from repro.mmae.dataflow import MemoryEnvironment, MMAETimingParameters, build_tile_schedule
+    from repro.mmae.matlb import TranslationTimingParameters, estimate_translation_stalls
+
+    shape = GEMMShape(int(spec.param("m")), int(spec.param("n")), int(spec.param("k")),
+                      Precision.from_string(str(spec.param("precision"))))
+    level1, level2 = (
+        TileConfig(*(int(spec.param(f"{level}_{axis}")) for axis in ("rows", "cols", "depth")))
+        for level in ("l1", "l2")
+    )
+    sa = int(spec.param("sa"))
+    params = MMAETimingParameters(sa_rows=sa, sa_cols=sa)
+    env = MemoryEnvironment(l3_share_bytes=float(spec.param("l3_share")))
+    where = f"{shape} level1={level1} level2={level2} sa={sa} env={env}"
+    fast = build_tile_schedule(shape, level1, level2, params, env)
+    slow = build_tile_schedule_scalar(shape, level1, level2, params, env)
+    if fast != slow:
+        raise ScenarioFailure(f"{where}: memoised schedule {fast} != per-tile walk {slow}")
+    translation = dict(
+        page_size=int(spec.param("page_size")),
+        prediction_enabled=bool(spec.param("prediction")),
+        params=TranslationTimingParameters(shared_tlb_entries=int(spec.param("tlb_entries"))),
+    )
+    fast = estimate_translation_stalls(shape, level1, level2, **translation)
+    slow = estimate_translation_stalls_scalar(shape, level1, level2, **translation)
+    if fast != slow:
+        raise ScenarioFailure(
+            f"{where} {translation}: per-extent estimate {fast} != per-tile walk {slow}")
+
+
 # ----------------------------------------------------------------- registry
 @dataclass(frozen=True)
 class _Kind:
@@ -915,6 +1022,12 @@ SCENARIO_KINDS: Dict[str, _Kind] = {
         _Kind("breakdown-conservation", _sample_breakdown_conservation,
               _check_breakdown_conservation,
               (("active_nodes", 1), ("mapped", True), ("prediction", True))),
+        _Kind("summa-overhead", _sample_summa_overhead, _check_summa_overhead,
+              (("tr", 1), ("rows", 1), ("cols", 1))),
+        _Kind("tile-schedule-parity", _sample_tile_schedule_parity,
+              _check_tile_schedule_parity,
+              (("prediction", True), ("precision", "fp64"), ("sa", 4),
+               ("page_size", 4096), ("tlb_entries", 1024))),
     )
 }
 

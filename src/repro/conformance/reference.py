@@ -23,7 +23,12 @@ the ``wavefront`` golden kernel and ``repro.cli bench`` all assert it.
   :class:`~repro.mmae.systolic_array.VectorizedSystolicArrayEmulator`;
 * :class:`ReferenceCollectiveCostModel` — a
   :class:`~repro.parallel.CollectiveCostModel` that walks every X-Y route on
-  every ring step instead of reading the memoised route geometry.
+  every ring step instead of reading the memoised route geometry;
+* :func:`build_tile_schedule_scalar` / :func:`estimate_translation_stalls_scalar`
+  — per-tile walks over every first-level :class:`~repro.gemm.tiling.Tile`
+  behind :func:`~repro.mmae.dataflow.build_tile_schedule` and
+  :func:`~repro.mmae.matlb.estimate_translation_stalls`, which price each
+  distinct tile extent once.
 """
 
 from __future__ import annotations
@@ -36,10 +41,24 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.gemm.precision import Precision
-from repro.mem.address import align_down
-from repro.mmae.matlb import MatrixLayout, PageTablePredictor
+from repro.gemm.tiling import TileConfig, TwoLevelTiling
+from repro.gemm.workloads import GEMMShape
+from repro.mem.address import DEFAULT_PAGE_SIZE, align_down
+from repro.mmae.dataflow import (
+    MemoryEnvironment,
+    MMAETimingParameters,
+    TileSchedule,
+    _level1_tile_compute_cycles,
+)
+from repro.mmae.matlb import (
+    MatrixLayout,
+    PageTablePredictor,
+    TranslationStallEstimate,
+    TranslationTimingParameters,
+    _unique_pages,
+)
 from repro.mmae.pe import ProcessingElement
-from repro.mmae.systolic_array import TileComputeResult
+from repro.mmae.systolic_array import SystolicArray, TileComputeResult
 from repro.noc.routing import route_hops, route_links
 from repro.parallel.collective import CollectiveCostModel
 from repro.serve.engine import EngineTrace, _FifoQueue, _RoundRobinQueue
@@ -50,7 +69,9 @@ __all__ = [
     "ReferenceCollectiveCostModel",
     "ReferenceServeSimulator",
     "SystolicArrayEmulator",
+    "build_tile_schedule_scalar",
     "bursty_trace_scalar",
+    "estimate_translation_stalls_scalar",
     "poisson_trace_scalar",
     "run_segment_scalar",
     "tile_page_addresses_scalar",
@@ -319,6 +340,102 @@ class ReferenceCollectiveCostModel(CollectiveCostModel):
         max_hops = max(route_hops(self.topology, src, dst) for src, dst in edges)
         latency = (max_hops + 1) * self.config.router_pipeline_cycles * self.config.cycle_time_s
         return serialization + latency
+
+
+# ------------------------------------------------------------ timing misses
+def build_tile_schedule_scalar(
+    shape: GEMMShape,
+    level1: TileConfig,
+    level2: TileConfig,
+    params: MMAETimingParameters,
+    env: MemoryEnvironment,
+) -> TileSchedule:
+    """Per-tile schedule walk: the reference for
+    :func:`~repro.mmae.dataflow.build_tile_schedule`."""
+    array = SystolicArray(params.sa_rows, params.sa_cols, params.frequency_hz)
+    tiling = TwoLevelTiling(shape, level1, level2)
+    element = shape.precision.bytes_per_element
+
+    compute_cycles = 0.0
+    l3_traffic = 0.0
+    dram_traffic = 0.0
+    num_level1 = 0
+    num_level2 = 0
+    for tile in tiling.level1_tiles():
+        num_level1 += 1
+        num_level2 += tiling.num_level2_tiles(tile)
+        compute_cycles += _level1_tile_compute_cycles(
+            array, tile.rows, tile.cols, tile.depth, level2, shape.precision
+        )
+        reloads_a = math.ceil(tile.cols / level2.cols)
+        reloads_b = math.ceil(tile.rows / level2.rows)
+        a_panel = tile.rows * tile.depth * element
+        b_panel = tile.depth * tile.cols * element
+        c_tile = tile.rows * tile.cols * element
+        tile_l3 = reloads_a * a_panel + reloads_b * b_panel + 2 * c_tile
+        compulsory = a_panel + b_panel + 2 * c_tile
+        working_set = a_panel + b_panel + c_tile
+        reuse_fraction = min(1.0, env.l3_share_bytes / working_set) if working_set else 1.0
+        tile_dram = compulsory + (tile_l3 - compulsory) * (1.0 - reuse_fraction)
+        l3_traffic += tile_l3
+        dram_traffic += tile_dram
+
+    return TileSchedule(
+        shape=shape,
+        level1=level1,
+        level2=level2,
+        num_level1_tiles=num_level1,
+        num_level2_tiles=num_level2,
+        compute_cycles=compute_cycles,
+        l3_traffic_bytes=l3_traffic,
+        dram_traffic_bytes=dram_traffic,
+    )
+
+
+def estimate_translation_stalls_scalar(
+    shape: GEMMShape,
+    level1: TileConfig,
+    level2: TileConfig,
+    page_size: int = DEFAULT_PAGE_SIZE,
+    prediction_enabled: bool = True,
+    params: TranslationTimingParameters = TranslationTimingParameters(),
+) -> TranslationStallEstimate:
+    """Per-tile page-walk estimate: the reference for
+    :func:`~repro.mmae.matlb.estimate_translation_stalls`."""
+    element = shape.precision.bytes_per_element
+    tiling = TwoLevelTiling(shape, level1, level2)
+    total_first = 0
+    total_retouch = 0
+    total_unique = 0
+    for tile in tiling.level1_tiles():
+        pages_a = _unique_pages(tile.rows, tile.depth * element, shape.k * element, page_size)
+        pages_b = _unique_pages(tile.depth, tile.cols * element, shape.n * element, page_size)
+        pages_c = _unique_pages(tile.rows, tile.cols * element, shape.n * element, page_size)
+        unique = pages_a + pages_b + pages_c
+        total_unique += unique
+        thrash_fraction = max(0.0, (unique - params.shared_tlb_entries) / unique) if unique else 0.0
+        touches_a = math.ceil(tile.cols / level2.cols)
+        touches_b = math.ceil(tile.rows / level2.rows)
+        retouch = (
+            (touches_a - 1) * pages_a * thrash_fraction
+            + (touches_b - 1) * pages_b * thrash_fraction
+        )
+        total_first += unique
+        total_retouch += int(round(retouch))
+
+    stall_cycles = (
+        total_first * params.first_touch_walk_cycles
+        + total_retouch * params.retouch_walk_cycles
+    )
+    if prediction_enabled:
+        stall_cycles *= params.predicted_exposed_fraction
+    return TranslationStallEstimate(
+        unique_pages=total_unique,
+        first_touch_walks=total_first,
+        retouch_walks=total_retouch,
+        stall_cycles=stall_cycles,
+        prediction_enabled=prediction_enabled,
+    )
 
 
 # ------------------------------------------------------- functional fast path

@@ -9,6 +9,7 @@ The reduction dimension K is blocked with the second-level factor as well.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
@@ -97,6 +98,16 @@ def tile_ranges(extent: int, tile: int) -> List[Tuple[int, int]]:
     return ranges
 
 
+def tile_extents(extent: int, tile: int) -> List[Tuple[int, int]]:
+    """The distinct range sizes of :func:`tile_ranges` with their counts.
+
+    At most two: ``(tile, full_count)`` then ``(remainder, 1)``, each only
+    when present.
+    """
+    full, remainder = divmod(extent, tile)
+    return [(size, count) for size, count in ((tile, full), (remainder, 1)) if size and count]
+
+
 class TwoLevelTiling:
     """Enumerates the two-level tile hierarchy for a GEMM shape.
 
@@ -152,6 +163,14 @@ class TwoLevelTiling:
             for col_start, col_end in tile_ranges(self.shape.n, self.level1.cols):
                 for k_start, k_end in tile_ranges(self.shape.k, self.level1.k_block):
                     yield Tile(row_start, row_end, col_start, col_end, k_start, k_end)
+
+    def level1_extents(self) -> Iterator[Tuple[int, int, int]]:
+        """Yield each first-level tile's ``(rows, cols, depth)`` in schedule order."""
+        shape, level1 = self.shape, self.level1
+        axes = ((shape.m, level1.rows), (shape.n, level1.cols), (shape.k, level1.k_block))
+        return itertools.product(*(
+            [size for size, count in tile_extents(*axis) for _ in range(count)] for axis in axes
+        ))
 
     def level2_tiles(self, parent: Tile) -> Iterator[Tile]:
         """Yield the second-level tiles of a first-level tile in schedule order."""

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.gemm.precision import Precision
-from repro.gemm.tiling import TileConfig, TwoLevelTiling
+from repro.gemm.tiling import TileConfig, TwoLevelTiling, tile_extents
 from repro.gemm.workloads import GEMMShape
 from repro.mmae.matlb import (
     TranslationStallEstimate,
@@ -145,19 +145,10 @@ def _level1_tile_compute_cycles(
     up-to-eight distinct (rows, cols, depth) combinations instead of iterating
     every micro tile.
     """
-    def split(extent: int, tile: int) -> List[tuple[int, int]]:
-        full, remainder = divmod(extent, tile)
-        parts = []
-        if full:
-            parts.append((tile, full))
-        if remainder:
-            parts.append((remainder, 1))
-        return parts
-
     total = 0.0
-    for rows, rows_count in split(tile_rows, level2.rows):
-        for cols, cols_count in split(tile_cols, level2.cols):
-            for depth, depth_count in split(tile_depth, level2.k_block):
+    for rows, rows_count in tile_extents(tile_rows, level2.rows):
+        for cols, cols_count in tile_extents(tile_cols, level2.cols):
+            for depth, depth_count in tile_extents(tile_depth, level2.k_block):
                 count = rows_count * cols_count * depth_count
                 total += count * array.tile_cycles(rows, cols, depth, precision)
     return total
@@ -170,42 +161,52 @@ def build_tile_schedule(
     params: MMAETimingParameters,
     env: MemoryEnvironment,
 ) -> TileSchedule:
-    """Compute the static schedule statistics (compute cycles and traffic volumes)."""
+    """Compute the static schedule statistics (compute cycles and traffic volumes).
+
+    Each of the (at most eight) distinct first-level tile extents is priced
+    once; the totals still add the terms tile by tile in schedule order, so
+    the float sums equal the per-tile walk's bit for bit.
+    """
     array = SystolicArray(params.sa_rows, params.sa_cols, params.frequency_hz)
     tiling = TwoLevelTiling(shape, level1, level2)
     element = shape.precision.bytes_per_element
 
+    terms: Dict[Tuple[int, int, int], Tuple[int, float, int, float]] = {}
     compute_cycles = 0.0
     l3_traffic = 0.0
     dram_traffic = 0.0
-    num_level1 = 0
     num_level2 = 0
-    for tile in tiling.level1_tiles():
-        num_level1 += 1
-        num_level2 += tiling.num_level2_tiles(tile)
-        compute_cycles += _level1_tile_compute_cycles(
-            array, tile.rows, tile.cols, tile.depth, level2, shape.precision
-        )
-        reloads_a = math.ceil(tile.cols / level2.cols)
-        reloads_b = math.ceil(tile.rows / level2.rows)
-        a_panel = tile.rows * tile.depth * element
-        b_panel = tile.depth * tile.cols * element
-        c_tile = tile.rows * tile.cols * element
-        tile_l3 = reloads_a * a_panel + reloads_b * b_panel + 2 * c_tile
-        # DRAM traffic: the compulsory panel reads plus the fraction of the
-        # re-reads that do not fit in this node's share of the L3.
-        compulsory = a_panel + b_panel + 2 * c_tile
-        working_set = a_panel + b_panel + c_tile
-        reuse_fraction = min(1.0, env.l3_share_bytes / working_set) if working_set else 1.0
-        tile_dram = compulsory + (tile_l3 - compulsory) * (1.0 - reuse_fraction)
-        l3_traffic += tile_l3
-        dram_traffic += tile_dram
+    for extents in tiling.level1_extents():
+        term = terms.get(extents)
+        if term is None:
+            rows, cols, depth = extents
+            reloads_a = math.ceil(cols / level2.cols)
+            reloads_b = math.ceil(rows / level2.rows)
+            a_panel = rows * depth * element
+            b_panel = depth * cols * element
+            c_tile = rows * cols * element
+            tile_l3 = reloads_a * a_panel + reloads_b * b_panel + 2 * c_tile
+            # DRAM traffic: the compulsory panel reads plus the fraction of the
+            # re-reads that do not fit in this node's share of the L3.
+            compulsory = a_panel + b_panel + 2 * c_tile
+            working_set = a_panel + b_panel + c_tile
+            reuse_fraction = min(1.0, env.l3_share_bytes / working_set) if working_set else 1.0
+            term = terms[extents] = (
+                reloads_a * reloads_b * math.ceil(depth / level2.k_block),
+                _level1_tile_compute_cycles(array, rows, cols, depth, level2, shape.precision),
+                tile_l3,
+                compulsory + (tile_l3 - compulsory) * (1.0 - reuse_fraction),
+            )
+        num_level2 += term[0]
+        compute_cycles += term[1]
+        l3_traffic += term[2]
+        dram_traffic += term[3]
 
     return TileSchedule(
         shape=shape,
         level1=level1,
         level2=level2,
-        num_level1_tiles=num_level1,
+        num_level1_tiles=tiling.num_level1_tiles,
         num_level2_tiles=num_level2,
         compute_cycles=compute_cycles,
         l3_traffic_bytes=l3_traffic,

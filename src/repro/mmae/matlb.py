@@ -21,7 +21,7 @@ sweeps of Fig. 6 (see DESIGN.md for the derivation and calibration).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -414,38 +414,37 @@ def estimate_translation_stalls(
     shared L2 TLB holds; every re-streaming of a panel (once per second-level
     column/row block) then re-walks the evicted entries.  With prediction the
     mATLB issues those walks ahead of the DMA streams and only a small residual
-    remains exposed.
+    remains exposed.  Every total is an integer, so each distinct
+    first-level tile extent is priced once and weighted by its tile count.
     """
     element = shape.precision.bytes_per_element
     tiling = TwoLevelTiling(shape, level1, level2)
-    total_first = 0
-    total_retouch = 0
     total_unique = 0
-    for tile in tiling.level1_tiles():
-        pages_a = _unique_pages(tile.rows, tile.depth * element, shape.k * element, page_size)
-        pages_b = _unique_pages(tile.depth, tile.cols * element, shape.n * element, page_size)
-        pages_c = _unique_pages(tile.rows, tile.cols * element, shape.n * element, page_size)
+    total_retouch = 0
+    for (rows, cols, depth), count in Counter(tiling.level1_extents()).items():
+        pages_a = _unique_pages(rows, depth * element, shape.k * element, page_size)
+        pages_b = _unique_pages(depth, cols * element, shape.n * element, page_size)
+        pages_c = _unique_pages(rows, cols * element, shape.n * element, page_size)
         unique = pages_a + pages_b + pages_c
-        total_unique += unique
         thrash_fraction = max(0.0, (unique - params.shared_tlb_entries) / unique) if unique else 0.0
-        touches_a = math.ceil(tile.cols / level2.cols)
-        touches_b = math.ceil(tile.rows / level2.rows)
+        touches_a = math.ceil(cols / level2.cols)
+        touches_b = math.ceil(rows / level2.rows)
         retouch = (
             (touches_a - 1) * pages_a * thrash_fraction
             + (touches_b - 1) * pages_b * thrash_fraction
         )
-        total_first += unique
-        total_retouch += int(round(retouch))
+        total_unique += count * unique
+        total_retouch += count * int(round(retouch))
 
     stall_cycles = (
-        total_first * params.first_touch_walk_cycles
+        total_unique * params.first_touch_walk_cycles
         + total_retouch * params.retouch_walk_cycles
     )
     if prediction_enabled:
         stall_cycles *= params.predicted_exposed_fraction
     return TranslationStallEstimate(
         unique_pages=total_unique,
-        first_touch_walks=total_first,
+        first_touch_walks=total_unique,
         retouch_walks=total_retouch,
         stall_cycles=stall_cycles,
         prediction_enabled=prediction_enabled,

@@ -270,7 +270,7 @@ class ParallelPlan:
     degree: int
     group: Tuple[int, ...]
     phases: List[PhasePlan] = field(default_factory=list)
-    #: Compute overhead decomposition calibrated on the functional path
+    #: Compute overhead decomposition from the wavefront's closed form
     #: (attached by the SUMMA planner; a report field, not a timing input).
     overhead: Optional[OverheadBreakdown] = None
     #: The R x C grid for ``tp2d`` plans (``None`` for the 1-D strategies);

@@ -12,10 +12,11 @@ the compute of step ``t``.
 
 This module holds the pieces of that schedule that are pure arithmetic —
 the grid-to-node layout, the pipelined-overlap closed form, and the
-``overhead_factor`` decomposition calibrated against the functional
-wavefront emulator — so :mod:`repro.parallel.partitioner` stays about
-sharding and :mod:`repro.conformance` can pin the closed form as a golden
-kernel.
+``overhead_factor`` decomposition, the wavefront's closed-form cycles over
+its ideal MAC cycles — so :mod:`repro.parallel.partitioner` stays about
+sharding and :mod:`repro.conformance` can pin the closed forms: the
+``summa-pipeline`` golden kernel and the ``summa-overhead`` fuzz kind, which
+checks the factor against the functional wavefront emulator.
 """
 
 from __future__ import annotations
@@ -112,9 +113,9 @@ def summa_pipeline_seconds(
 
 @dataclass(frozen=True)
 class OverheadBreakdown:
-    """Measured-over-ideal compute factor, decomposed by cause.
+    """Wavefront-over-ideal compute factor, decomposed by cause.
 
-    ``factor`` is functional-path cycles over ideal MAC cycles for the
+    ``factor`` is the wavefront's cycles over ideal MAC cycles for the
     calibration block; ``components`` maps each cause to its share of the
     *overhead* (``factor - 1``), following
     :data:`OVERHEAD_COMPONENT_SHARES`.  Purely a report field — the analytic
@@ -134,40 +135,34 @@ class OverheadBreakdown:
         return {"factor": self.factor, "components": self.component_factors()}
 
 
-#: One calibration per array geometry per process — the emulator walk is
-#: cheap but ``plan_parallel`` is called per sweep cell.
+#: One breakdown per array geometry per process, so every plan for the same
+#: array reports the same object.
 _OVERHEAD_CACHE: Dict[Tuple[int, int, int], OverheadBreakdown] = {}
 
-#: A-panel depth of the calibration block: long enough that the measured
-#: factor reflects steady streaming, short enough to stay instant.
+#: A-panel depth of the calibration block: long enough that the factor
+#: reflects steady streaming.
 _CALIBRATION_TR = 64
 
 
 def calibrate_overhead_factor(
     rows: int, cols: int, tr: int = _CALIBRATION_TR
 ) -> OverheadBreakdown:
-    """Measure the compute overhead factor on the functional wavefront path.
+    """The compute overhead factor of one stationary wavefront block.
 
-    Runs one ``tr x rows @ rows x cols`` stationary block through the
-    vectorized systolic emulator — the functional fidelity with real cycle
-    counters — and divides its measured cycles by the ideal
-    ``MACs / (rows * cols)``.  The result is memoised per geometry, so the
-    calibration happens once per process and every plan for the same array
-    reports the same breakdown (deterministic across ``--jobs`` fan-outs).
+    A ``tr x rows @ rows x cols`` block takes ``rows + cols + tr - 2``
+    cycles on the input-stationary wavefront (fill, ``tr`` streaming
+    cycles, drain) against an ideal ``MACs / (rows * cols) = tr``, so the
+    factor is ``(rows + cols + tr - 2) / tr``.  The ``summa-overhead`` fuzz
+    kind pins this closed form, with ``==``, to the cycles and MACs the
+    functional :class:`~repro.mmae.systolic_array.VectorizedSystolicArrayEmulator`
+    measures.  The result is memoised per geometry.
     """
-    import numpy as np
-
-    from repro.mmae.systolic_array import VectorizedSystolicArrayEmulator
-
+    for name, value in (("rows", rows), ("cols", cols), ("tr", tr)):
+        if value < 1:
+            raise ValueError(f"calibration {name} must be >= 1, got {value}")
     key = (rows, cols, tr)
     breakdown = _OVERHEAD_CACHE.get(key)
     if breakdown is None:
-        emulator = VectorizedSystolicArrayEmulator(rows=rows, cols=cols)
-        result = emulator.run_block(
-            np.ones((tr, rows), dtype=np.float64),
-            np.ones((rows, cols), dtype=np.float64),
-        )
-        ideal_cycles = result.macs / (rows * cols)
-        breakdown = OverheadBreakdown(factor=result.cycles / ideal_cycles)
+        breakdown = OverheadBreakdown(factor=(rows + cols + tr - 2) / tr)
         _OVERHEAD_CACHE[key] = breakdown
     return breakdown

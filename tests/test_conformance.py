@@ -17,6 +17,8 @@ Covers the three layers of ``repro.conformance``:
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +264,15 @@ class TestFuzzDeterminism:
         counts = report.kind_counts()
         assert set(counts) == set(SCENARIO_KINDS)
         assert all(count == 2 for count in counts.values())
+
+    def test_ci_runs_one_case_of_every_kind(self):
+        # The package job's smoke step must grow with the registry, or new
+        # kinds silently drop out of it.
+        workflow = (Path(__file__).resolve().parents[1] / ".github/workflows/ci.yml").read_text()
+        step = workflow.split("(one fuzz case of each kind)", 1)[1].split("- name:", 1)[0]
+        cases = re.search(r"conformance fuzz --cases (\d+)", step)
+        assert cases is not None
+        assert int(cases.group(1)) == len(SCENARIO_KINDS)
 
     def test_kind_filter_and_validation(self):
         report = fuzz(cases=4, seed=1, kinds=["percentile"])

@@ -19,7 +19,7 @@ from repro.gemm import (
     tile_ranges,
     tiled_gemm_trace,
 )
-from repro.gemm.tiling import PAPER_LEVEL1, PAPER_LEVEL2, Tile
+from repro.gemm.tiling import PAPER_LEVEL1, PAPER_LEVEL2, Tile, tile_extents
 
 
 class TestPrecision:
@@ -126,6 +126,24 @@ class TestTiling:
     def test_paper_tiling_constants(self):
         assert (PAPER_LEVEL1.rows, PAPER_LEVEL1.cols) == (1024, 1024)
         assert (PAPER_LEVEL2.rows, PAPER_LEVEL2.cols) == (64, 64)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 900), n=st.integers(1, 900), k=st.integers(1, 900),
+        rows=st.sampled_from([64, 128, 200]), cols=st.sampled_from([64, 100]),
+        depth=st.sampled_from([0, 48, 256]),
+    )
+    def test_level1_extents_follow_the_tiles(self, m, n, k, rows, cols, depth):
+        tiling = TwoLevelTiling(GEMMShape(m, n, k), TileConfig(rows, cols, depth),
+                                TileConfig(32, 32))
+        extents = [(tile.rows, tile.cols, tile.depth) for tile in tiling.level1_tiles()]
+        assert list(tiling.level1_extents()) == extents
+        assert len(set(extents)) <= 8
+
+    def test_tile_extents_lists_full_tiles_then_the_remainder(self):
+        assert tile_extents(100, 32) == [(32, 3), (4, 1)]
+        assert tile_extents(64, 32) == [(32, 2)]
+        assert tile_extents(20, 32) == [(20, 1)]
 
     def test_level1_grid(self):
         tiling = TwoLevelTiling(GEMMShape(2048, 1024, 3072))

@@ -2,7 +2,8 @@
 
 ``python -m repro.cli explore`` runs only the analytic timing model, so it
 must not pay for NumPy, the serving stack, the baselines or the functional
-emulators.  Checks on ``sys.modules`` run in a fresh interpreter, because
+emulators; neither must a sharded SUMMA plan, whose overhead factor is a
+closed form.  Checks on ``sys.modules`` run in a fresh interpreter, because
 this test process has imported everything already.
 """
 
@@ -46,6 +47,21 @@ def test_catalog_explore_runs_without_numpy():
         "                           '--workload', 'llama-7b@decode', '--jobs', '1']) == 0"
     )
     assert "repro.core.explorer" in loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["explore", "--sample", "lhs", "--points", "8", "--workload", "llama-7b@decode",
+     "--parallel", "tp2d:2x2", "--jobs", "1"],
+    ["parallel", "--parallel", "tp2d:2x2", "--nodes", "4"],
+])
+def test_sharded_plans_run_without_numpy(argv):
+    loaded = loaded_after(
+        "import contextlib, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert repro.cli.main({argv!r}) == 0"
+    )
+    assert "repro.parallel.summa" in loaded
     assert "numpy" not in loaded
 
 

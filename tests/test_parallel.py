@@ -329,6 +329,17 @@ class TestOverheadCalibration:
     def test_calibration_is_memoized(self):
         assert calibrate_overhead_factor(4, 4) is calibrate_overhead_factor(4, 4)
 
+    @pytest.mark.parametrize("rows, cols, tr", [(4, 4, 64), (1, 1, 1), (2, 8, 3), (8, 3, 100)])
+    def test_factor_is_the_wavefront_closed_form(self, rows, cols, tr):
+        assert calibrate_overhead_factor(rows, cols, tr).factor == (rows + cols + tr - 2) / tr
+
+    @pytest.mark.parametrize("args, bad", [((0, 4), "rows"), ((4, 0), "cols"),
+                                           ((4, 4, 0), "tr"), ((-2, 4), "rows")])
+    def test_non_positive_geometry_names_the_parameter(self, args, bad):
+        value = dict(zip(("rows", "cols", "tr"), args))[bad]
+        with pytest.raises(ValueError, match=rf"{bad} must be >= 1, got {value}"):
+            calibrate_overhead_factor(*args)
+
 
 class TestTensorParallelConservation:
     """The satellite property test: sharding conserves compute exactly."""
