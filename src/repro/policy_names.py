@@ -2,7 +2,8 @@
 
 Kept outside :mod:`repro.serve` so the CLI parser can offer them as
 ``--scheduler`` choices without importing the serving stack;
-:data:`repro.serve.scheduler.SCHEDULER_NAMES` re-exports them.
+:mod:`repro.serve` re-exports them and :class:`~repro.serve.ServeSimulator`
+accepts exactly these.
 """
 
 #: CLI-facing policy names in the order they are documented.

@@ -3,12 +3,13 @@
 This package layers a serving simulator over the system timing model:
 :mod:`repro.serve.trace` generates or replays tenant request arrivals (with
 optional per-tenant priorities and TTFT/TPOT SLO targets),
-:mod:`repro.serve.scheduler` provides the batching policies (FCFS, SJF,
-round-robin per tenant, priority tiers, SLO-aware EDF),
-:mod:`repro.serve.simulator` runs the discrete-event loop against a
-:class:`~repro.core.maco.MACOSystem` — either whole-request dispatch or
-iteration-level continuous batching with a paged KV budget and preemption —
-and :mod:`repro.serve.report` aggregates per-tenant and fleet-wide
+:mod:`repro.serve.engine` holds the policy queues of the five batching
+policies (:data:`SCHEDULER_NAMES`: FCFS, SJF, round-robin per tenant,
+priority tiers, SLO-aware EDF), :mod:`repro.serve.simulator` runs the
+discrete-event loop against a :class:`~repro.core.maco.MACOSystem` — either
+whole-request dispatch or iteration-level continuous batching with a paged
+KV budget and preemption — and :mod:`repro.serve.report` aggregates
+per-tenant and fleet-wide
 throughput, utilization, queue depth, p50/p95/p99 latency, TTFT/TPOT
 percentiles, SLO attainment and goodput.  :mod:`repro.serve.autoscale` adds
 the elastic-fleet pieces: a windowed hysteresis autoscaler that grows and
@@ -28,6 +29,7 @@ Typical use (also exposed as ``python -m repro.cli serve``)::
     print(report.render())
 """
 
+from repro.policy_names import SCHEDULER_NAMES
 from repro.serve.autoscale import (
     AutoscalePolicy,
     Autoscaler,
@@ -43,17 +45,6 @@ from repro.serve.report import (
     TenantStats,
     build_report,
     build_report_from_columns,
-)
-from repro.serve.scheduler import (
-    SCHEDULER_NAMES,
-    BatchingPolicy,
-    FCFSScheduler,
-    PriorityScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    SJFScheduler,
-    SLOScheduler,
-    scheduler_by_name,
 )
 from repro.serve.simulator import (
     DEFAULT_KV_BUDGET_BYTES,
@@ -86,15 +77,7 @@ __all__ = [
     "poisson_trace",
     "bursty_trace",
     "replay_trace",
-    "BatchingPolicy",
-    "Scheduler",
-    "FCFSScheduler",
-    "SJFScheduler",
-    "RoundRobinScheduler",
-    "PriorityScheduler",
-    "SLOScheduler",
     "SCHEDULER_NAMES",
-    "scheduler_by_name",
     "ServeSimulator",
     "ServiceProfile",
     "StepSpec",

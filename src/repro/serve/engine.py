@@ -14,11 +14,12 @@ shared :func:`~repro.serve.report.build_report_from_columns` turns equal
 columns into byte-identical JSON.
 
 **One engine, one oracle.**  :func:`run_segment` does bulk admission over
-the sorted arrival array with packed integer policy keys, plus a fully
-vectorised closed form for the FCFS single-server case: with one server the
-dispatch order is the canonical order, so start times collapse to a max-plus
-prefix scan ``start = cumsum(cost) + running_max(arrival - cumsum(cost))`` —
-no event loop at all.  Its per-event reference, a straightforward Python loop
+the sorted arrival array into policy heaps fed by one :func:`policy_order`
+sort per segment, plus a fully vectorised closed form for the FCFS
+single-server case: with one server the dispatch order is the canonical
+order, so start times collapse to a max-plus prefix scan
+``start = cumsum(cost) + running_max(arrival - cumsum(cost))`` — no event
+loop at all.  Its per-event reference, a straightforward Python loop
 with tuple-keyed policy heaps, lives in :mod:`repro.conformance.reference`;
 the parity suite asserts the two produce byte-identical reports across every
 policy.
@@ -43,8 +44,11 @@ TraceColumns`) directly — requests are rank indices into arrays, and no
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_right, insort
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +61,7 @@ __all__ = [
     "shard_plan",
     "run_segment",
     "simulate_segments",
+    "policy_order",
 ]
 
 #: Deadline sentinel for requests without a TTFT SLO under the slo policy:
@@ -75,9 +80,9 @@ class EngineTrace:
     figures per server (one column per server — the np.take lookup that
     replaces a dict hit per event).  ``svc0`` (server-0 latency, the sjf key),
     ``priority`` and ``deadline`` (arrival + TTFT SLO, :data:`NO_DEADLINE`
-    when absent) are pre-expanded per rank because the policy queues consume
-    them on every push.  The whole record is plain arrays and ints, so it
-    pickles cheaply to shard workers.
+    when absent) are pre-expanded per rank as the :func:`policy_order` key
+    columns.  The whole record is plain arrays and ints, so it pickles
+    cheaply to shard workers.
     """
 
     policy: str
@@ -100,6 +105,28 @@ class EngineTrace:
 
 
 # -------------------------------------------------------------- policy queues
+def policy_order(policy: str, count: int, service=None, priority=None, deadline=None):
+    """Local indices ``0..count-1`` in ``policy`` admission order.
+
+    Index order is ``(arrival, id)`` order, so one stable ``np.lexsort`` over
+    the policy's key columns, ties left on index, is the whole policy:
+    ``sjf`` orders by ``service``, ``priority`` by descending ``priority``,
+    ``slo`` by descending ``priority`` then ascending ``deadline`` (``inf``
+    or :data:`NO_DEADLINE` sorts last in its tier).  ``fcfs`` and ``rr`` are
+    index order; ``rr`` rotates tenants in :class:`_RoundRobinQueue` instead.
+    The columns may be float or int64; only the policy's own are read.
+    """
+    if policy in ("fcfs", "rr"):
+        return np.arange(count)
+    if policy == "sjf":
+        return np.lexsort((service,))
+    if policy == "priority":
+        return np.lexsort((-priority,))
+    if policy == "slo":
+        return np.lexsort((deadline, -priority))
+    raise ValueError(f"unknown scheduling policy {policy!r}")
+
+
 class _FifoQueue:
     """FCFS: ranks are pushed in rank order, so a head pointer suffices."""
 
@@ -124,48 +151,56 @@ class _FifoQueue:
         return len(self._ranks) - self._head
 
 
-class _PackedHeapQueue:
-    """Policy heap: one precomputed integer key per rank.
+class _OrderQueue:
+    """Policy heap over positions in a :func:`policy_order` permutation.
 
-    Keys are ``composite * n + (rank - lo)`` Python ints (arbitrary
-    precision, so stacking priority/deadline/service components can never
-    overflow), built in one vectorised pass per segment.  Heap order on the
-    packed key equals lexicographic order on ``(composite, rank)``.
+    ``order`` lists the local indices of ranks ``lo..`` in policy order; the
+    heap holds each queued rank's position in it, so the smallest position is
+    the policy's next pick.  A rank keeps its position forever, so one that
+    is popped and pushed again (a preempted request) returns to its original
+    place.  Both tables are flat int64 arrays (8 bytes a rank), not lists
+    of int objects.
     """
 
-    __slots__ = ("_keys", "_lo", "_n", "_heap")
+    __slots__ = ("_order", "_position", "_heap", "_lo")
 
-    def __init__(self, keys: List[int], lo: int, n: int) -> None:
-        self._keys = keys
-        self._lo = lo
-        self._n = n
+    def __init__(self, order: np.ndarray, lo: int) -> None:
+        self._order = array("q", (order + lo).astype(np.int64).tobytes())
+        position = np.empty(len(order), np.int64)
+        position[order] = np.arange(len(order))
+        self._position = array("q", position.tobytes())
         self._heap: List[int] = []
+        self._lo = lo
 
     def push(self, rank: int) -> None:
-        heapq.heappush(self._heap, self._keys[rank - self._lo])
+        heapq.heappush(self._heap, self._position[rank - self._lo])
+
+    def peek(self) -> int:
+        return self._order[self._heap[0]]
 
     def pop(self) -> int:
-        return self._lo + heapq.heappop(self._heap) % self._n
+        return self._order[heapq.heappop(self._heap)]
 
     def __len__(self) -> int:
         return len(self._heap)
 
 
 class _RoundRobinQueue:
-    """Port of the legacy RoundRobinScheduler over rank indices.
+    """Per-tenant FIFO queues served cyclically over rank indices.
 
-    Tenants enter the rotation in first-arrival order, each tenant's queue is
-    FIFO (pushes happen in rank order), and a pop advances the cursor past
-    the served tenant, so every tenant with queued work is visited before any
-    tenant is served twice.
+    Tenants enter the rotation in first-push order, and a pop advances the
+    cursor past the served tenant, so every tenant with queued work is
+    visited before any tenant is served twice.  Each tenant's queue stays in
+    rank order: a rank pushed behind a larger one (a preempted request) is
+    inserted at its place, so resume never jumps a tenant-mate that arrived
+    earlier.  ``tenant_of`` maps a rank to its tenant id.
     """
 
-    __slots__ = ("_tenant", "_queues", "_heads", "_rotation", "_cursor", "_size")
+    __slots__ = ("_tenant", "_queues", "_rotation", "_cursor", "_size")
 
-    def __init__(self, tenant_of: np.ndarray) -> None:
+    def __init__(self, tenant_of) -> None:
         self._tenant = tenant_of
-        self._queues: Dict[int, List[int]] = {}
-        self._heads: Dict[int, int] = {}
+        self._queues: Dict[int, Deque[int]] = {}
         self._rotation: List[int] = []
         self._cursor = 0
         self._size = 0
@@ -174,59 +209,46 @@ class _RoundRobinQueue:
         tenant = int(self._tenant[rank])
         queue = self._queues.get(tenant)
         if queue is None:
-            self._queues[tenant] = [rank]
-            self._heads[tenant] = 0
+            queue = self._queues[tenant] = deque()
             self._rotation.append(tenant)
+        if queue and queue[-1] > rank:
+            insort(queue, rank)
         else:
             queue.append(rank)
         self._size += 1
 
-    def pop(self) -> int:
+    def _next(self) -> int:
+        """Rotation index of the next tenant with queued ranks."""
         length = len(self._rotation)
         for offset in range(length):
             index = (self._cursor + offset) % length
-            tenant = self._rotation[index]
-            head = self._heads[tenant]
-            queue = self._queues[tenant]
-            if head < len(queue):
-                self._heads[tenant] = head + 1
-                self._cursor = (index + 1) % length
-                self._size -= 1
-                return queue[head]
+            if self._queues[self._rotation[index]]:
+                return index
         raise IndexError("pop from an empty round-robin queue")
+
+    def peek(self) -> int:
+        return self._queues[self._rotation[self._next()]][0]
+
+    def pop(self) -> int:
+        index = self._next()
+        self._cursor = (index + 1) % len(self._rotation)
+        self._size -= 1
+        return self._queues[self._rotation[index]].popleft()
 
     def __len__(self) -> int:
         return self._size
 
 
-def _packed_queue(et: EngineTrace, lo: int, hi: int):
-    """The engine's policy queue: vectorised key precomputation."""
+def _policy_queue(et: EngineTrace, lo: int, hi: int):
+    """The request engine's policy queue for ranks ``lo..hi``."""
     if et.policy == "fcfs":
         return _FifoQueue()
     if et.policy == "rr":
         return _RoundRobinQueue(et.tenant)
-    n = hi - lo
-    offsets = np.arange(n, dtype=np.int64)
-    if et.policy == "sjf":
-        composite = et.svc0[lo:hi]
-    elif et.policy == "priority":
-        composite = -et.priority[lo:hi]
-    elif et.policy == "slo":
-        # Two stacked components exceed int64, so pack through Python ints.
-        priorities = (-et.priority[lo:hi]).tolist()
-        deadlines = et.deadline[lo:hi].tolist()
-        keys = [
-            ((priorities[i] * (NO_DEADLINE + 1) + deadlines[i]) * n) + i
-            for i in range(n)
-        ]
-        return _PackedHeapQueue(keys, lo, n)
-    else:
-        raise ValueError(f"unknown scheduling policy {et.policy!r}")
-    if len(composite) and int(np.abs(composite).max()) < (2**62) // max(n, 1):
-        keys = (composite * n + offsets).tolist()
-    else:
-        keys = [int(value) * n + i for i, value in enumerate(composite.tolist())]
-    return _PackedHeapQueue(keys, lo, n)
+    order = policy_order(
+        et.policy, hi - lo, service=et.svc0[lo:hi], priority=et.priority[lo:hi], deadline=et.deadline[lo:hi]
+    )
+    return _OrderQueue(order, lo)
 
 
 # ------------------------------------------------------------------- engines
@@ -275,12 +297,11 @@ def run_segment(et: EngineTrace, lo: int, hi: int):
     The general loop differs from the reference in mechanics, not semantics:
     arrivals live in local Python lists (no per-element numpy boxing),
     admission windows come from one binary search per event instead of a
-    peek-per-request scan, and the policy heaps hold precomputed packed
-    integer keys.
+    peek-per-request scan, and the policy heaps hold positions in one
+    precomputed :func:`policy_order` permutation.
     """
     if et.policy == "fcfs" and et.num_servers == 1 and et.uniform_interval:
         return _run_segment_closed_form(et, lo, hi)
-    from bisect import bisect_right
 
     count = hi - lo
     start = np.empty(count, np.int64)
@@ -294,7 +315,7 @@ def run_segment(et: EngineTrace, lo: int, hi: int):
     interval_rows = et.interval_table.tolist()
     first_rows = et.first_table.tolist()
     switch_ticks = et.switch_ticks
-    queue = _packed_queue(et, lo, hi)
+    queue = _policy_queue(et, lo, hi)
     start_list = start  # direct ndarray writes are fine; assignment is int64
     servers = [(0, node) for node in range(et.num_servers)]
     drain = [0] * et.num_servers

@@ -2,7 +2,7 @@
 
 :class:`ServeSimulator` composes the existing machinery into a serving
 scenario: arrivals come from a :class:`~repro.serve.trace.RequestTrace`, a
-:class:`~repro.serve.scheduler.BatchingPolicy` orders admission, and every
+policy queue from :mod:`repro.serve.engine` orders admission, and every
 timing estimate runs through the shared :class:`~repro.core.perf.TimingCache`,
 so repeated model shapes are walked once per process.  Tenant interleaving on
 a node is charged the :class:`~repro.cpu.process.ProcessManager`
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -68,10 +68,14 @@ from repro.cpu.core import CPUCore
 from repro.cpu.process import Process
 from repro.gemm.precision import Precision
 from repro.mem.dram import DRAMModel
+from repro.policy_names import SCHEDULER_NAMES
 from repro.serve.engine import (
     NO_DEADLINE,
     TICKS_PER_SECOND,
     EngineTrace,
+    _OrderQueue,
+    _RoundRobinQueue,
+    policy_order,
     run_segment,
     segment_bounds,
     shard_plan,
@@ -94,7 +98,6 @@ from repro.serve.report import (
     build_report,
     build_report_from_columns,
 )
-from repro.serve.scheduler import BatchingPolicy, scheduler_by_name
 from repro.serve.trace import Request, RequestTrace, TenantSpec, TraceColumns
 
 __all__ = [
@@ -429,6 +432,7 @@ class _RunningRequest:
 
     request: Request
     profile: ServiceProfile
+    rank: int  # position in the run's (arrival, id) order
     step_index: int = 0
     start_s: Optional[float] = None  # first admission into a batch
     first_token_s: Optional[float] = None  # completion of the first step
@@ -442,11 +446,21 @@ class _RunningRequest:
         return self.profile.steps[self.step_index].state_bytes
 
 
+def _victim_key(member: _RunningRequest) -> Tuple[int, int]:
+    """Preemption order: the member with the largest key is evicted first.
+
+    The lowest priority tier loses first; within a tier the newest request
+    (the highest rank, i.e. the latest ``(arrival, id)``) is evicted, so an
+    old request never loses its KV residency to a younger one.
+    """
+    return (-member.request.priority, member.rank)
+
+
 class ServeSimulator:
     """Simulates a request trace against a MACO fleet under a batching policy.
 
-    ``scheduler`` is a policy name (see
-    :data:`~repro.serve.scheduler.SCHEDULER_NAMES`); ``jobs`` fans the
+    ``scheduler`` is a policy name (one of
+    :data:`~repro.policy_names.SCHEDULER_NAMES`); ``jobs`` fans the
     per-workload service estimation out over a
     :class:`~repro.core.batch.SweepRunner` pool (the event loop itself is
     always serial and deterministic, so the report is bit-identical for every
@@ -507,6 +521,9 @@ class ServeSimulator:
     ) -> None:
         if system is not None and config is not None:
             raise ValueError("pass either a system or a config, not both")
+        if scheduler not in SCHEDULER_NAMES:
+            raise ValueError(
+                f"scheduler must be one of {', '.join(SCHEDULER_NAMES)}, got {scheduler!r}")
         if batching not in ("request", "step"):
             raise ValueError(f"batching must be 'request' or 'step', got {batching!r}")
         if max_batch < 1:
@@ -608,17 +625,6 @@ class ServeSimulator:
                 background=self._background(server),
             )
         return self._services[key]
-
-    def _service_pair(
-        self, workload_name: str, precision: Precision = Precision.FP32, server: int = 0
-    ) -> Tuple[float, float]:
-        """(latency, admission interval) of one workload on one server.
-
-        The interval is below the latency exactly when a pipeline-parallel
-        group can overlap back-to-back same-tenant requests.
-        """
-        profile = self.service_profile(workload_name, precision, server)
-        return profile.latency_s, profile.interval_s
 
     def phase_profile(
         self, workload_name: str, precision: Precision = Precision.FP32, server: int = 0
@@ -878,9 +884,6 @@ class ServeSimulator:
         :mod:`repro.serve.engine` for the engine and the sharding contract.
         """
         self._prepare_services(trace)
-        # Reuse the scheduler registry's validation (exact same errors for a
-        # bad policy name); the engines carry their own queue implementations.
-        scheduler_by_name(self.scheduler_name, estimator=lambda request: 0.0)
         columns = trace.columns
         et, order = self._engine_trace(columns)
         count = len(et)
@@ -1025,10 +1028,6 @@ class ServeSimulator:
         # groups admit nothing.
         self.last_admissions = []
         self.last_drains = []
-        policy: BatchingPolicy = scheduler_by_name(
-            self.scheduler_name,
-            estimator=lambda request: self.service_seconds(request.workload, request.precision),
-        )
         kv = self.resolved_kv_budget(trace)
         budget = kv.budget_bytes
         servers = range(self.num_servers) if self.parallelism is not None else (0,)
@@ -1058,13 +1057,22 @@ class ServeSimulator:
         arrivals: List[Request] = sorted(
             trace.requests, key=lambda request: (request.arrival_s, request.request_id))
         if not arrivals:
-            segments: List[List[Request]] = []
+            bounds: List[int] = []
         elif shards is None:
-            segments = [arrivals]
+            bounds = [0, len(arrivals)]
         else:
-            bounds = [0] + self._step_segment_bounds(arrivals, restore_bandwidth)
-            bounds.append(len(arrivals))
-            segments = [arrivals[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            bounds = [0, *self._step_segment_bounds(arrivals, restore_bandwidth),
+                      len(arrivals)]
+        policy = self.scheduler_name
+        if policy == "rr":
+            # One rotation for the whole run: tenants keep their first-push
+            # order and the cursor carries across segments.
+            tenant_ids: Dict[str, int] = {}
+            rotation = _RoundRobinQueue([
+                tenant_ids.setdefault(request.tenant, len(tenant_ids))
+                for request in arrivals])
+        else:
+            keys = self._step_policy_keys(arrivals)
 
         runtimes: Dict[int, _RunningRequest] = {}
         completions: List[dict] = []
@@ -1076,9 +1084,15 @@ class ServeSimulator:
         }
         events: List[dict] = []
         timeline: List[Tuple[float, int]] = []
-        for segment in segments:
+        for lo, hi in zip(bounds, bounds[1:]):
+            if policy == "rr":
+                queue = rotation
+            else:
+                order = policy_order(
+                    policy, hi - lo, **{name: column[lo:hi] for name, column in keys.items()})
+                queue = _OrderQueue(order, lo)
             self._simulate_step_segment(
-                segment, policy, states, budget, restore_bandwidth,
+                arrivals, lo, hi, queue, states, budget, restore_bandwidth,
                 runtimes, completions, tally, events, timeline)
 
         makespan = max((entry["finish_s"] for entry in completions), default=0.0)
@@ -1101,10 +1115,35 @@ class ServeSimulator:
             trace, states, completions, tally["depth_area"],
             int(tally["depth_max"]), makespan, autoscale=autoscale_stats)
 
+    def _step_policy_keys(self, arrivals: List[Request]) -> Dict[str, np.ndarray]:
+        """The step loop's :func:`~repro.serve.engine.policy_order` key columns.
+
+        Built from the float request fields: the server-0 service estimate
+        (sjf), the priority tier (priority, slo) and the TTFT deadline
+        ``arrival + ttft_slo_s``, ``inf`` without a target (slo).
+        """
+        policy = self.scheduler_name
+        keys: Dict[str, np.ndarray] = {}
+        if policy == "sjf":
+            keys["service"] = np.array([
+                self.service_seconds(request.workload, request.precision)
+                for request in arrivals], np.float64)
+        if policy in ("priority", "slo"):
+            keys["priority"] = np.array(
+                [request.priority for request in arrivals], np.int64)
+        if policy == "slo":
+            keys["deadline"] = np.array([
+                request.arrival_s + request.ttft_slo_s
+                if request.ttft_slo_s is not None else math.inf
+                for request in arrivals], np.float64)
+        return keys
+
     def _simulate_step_segment(
         self,
-        segment: List[Request],
-        policy: BatchingPolicy,
+        arrivals: List[Request],
+        lo: int,
+        hi: int,
+        queue: Union[_OrderQueue, _RoundRobinQueue],
         states: List[_NodeState],
         budget: float,
         restore_bandwidth: float,
@@ -1114,9 +1153,11 @@ class ServeSimulator:
         events: List[dict],
         timeline: List[Tuple[float, int]],
     ) -> None:
-        """Run one cold-start segment of the step-batching event loop.
+        """Run ranks ``lo..hi`` of ``arrivals`` as one cold-start segment of the step loop.
 
-        The fleet starts idle — empty batches, no resident tenants, the
+        ``queue`` is the policy queue of ranks (a fresh :class:`~repro.serve.
+        engine._OrderQueue`, or the run's shared round-robin rotation).  The
+        fleet starts idle — empty batches, no resident tenants, the
         autoscaled fleet back at ``min_groups`` with a fresh controller.
         Per-node accumulators and ``tally`` (queue-depth area/max, committed
         group-seconds) carry across segments; completions, scale events and
@@ -1124,7 +1165,7 @@ class ServeSimulator:
         """
         apolicy = self.autoscale
         scaler = Autoscaler(apolicy) if apolicy is not None else None
-        seg_start = segment[0].arrival_s
+        seg_start = arrivals[lo].arrival_s
         for state in states:
             state.free_at = 0.0
             state.last_tenant = None
@@ -1139,18 +1180,18 @@ class ServeSimulator:
         window_depth_peak = 0
         window_served = 0
         window_misses = 0
-        index = 0
+        index = lo
 
         def advance(now: float, extra_queued: int = 0) -> None:
             if now > tally["last_event_t"]:
                 tally["depth_area"] += (
-                    (len(policy) + extra_queued) * (now - tally["last_event_t"]))
+                    (len(queue) + extra_queued) * (now - tally["last_event_t"]))
                 tally["last_event_t"] = now
 
-        def push(request: Request) -> None:
+        def push(rank: int) -> None:
             nonlocal window_depth_peak
-            policy.push(request)
-            depth = len(policy)
+            queue.push(rank)
+            depth = len(queue)
             if depth > tally["depth_max"]:
                 tally["depth_max"] = depth
             if depth > window_depth_peak:
@@ -1178,8 +1219,8 @@ class ServeSimulator:
                 return
             while next_window_end <= now:
                 t = next_window_end
-                if len(policy) > window_depth_peak:
-                    window_depth_peak = len(policy)
+                if len(queue) > window_depth_peak:
+                    window_depth_peak = len(queue)
                 # A group whose drain stops after t still counts as draining.
                 committed = [s for s in states if s.committed or s.stopped_at > t]
                 draining = sum(1 for s in committed if s.draining or not s.committed)
@@ -1236,9 +1277,9 @@ class ServeSimulator:
                 window_misses = 0
                 next_window_end += apolicy.window_s
 
-        while index < len(segment) or len(policy) or any(s.batch for s in states):
+        while index < hi or len(queue) or any(s.batch for s in states):
             busy = [s for s in states if s.batch]
-            if len(policy):
+            if len(queue):
                 candidates = [
                     s for s in states if s.batch or (s.committed and not s.draining)]
             elif busy:
@@ -1249,36 +1290,37 @@ class ServeSimulator:
                 # server backdates its clock to the arrival below.  Windows
                 # elapsing across the gap still tick, so an idle fleet can
                 # scale in.
-                now = segment[index].arrival_s
+                now = arrivals[index].arrival_s
                 tick(now)
-                while index < len(segment) and segment[index].arrival_s <= now:
-                    advance(segment[index].arrival_s)
-                    push(segment[index])
+                while index < hi and arrivals[index].arrival_s <= now:
+                    advance(arrivals[index].arrival_s)
+                    push(index)
                     index += 1
                 continue
             state = min(candidates, key=lambda s: (s.free_at, s.node_id))
             tick(state.free_at)
             # Feed the waiting queue with everything that has arrived by this
             # server's clock.
-            while index < len(segment) and segment[index].arrival_s <= state.free_at:
-                advance(segment[index].arrival_s)
-                push(segment[index])
+            while index < hi and arrivals[index].arrival_s <= state.free_at:
+                advance(arrivals[index].arrival_s)
+                push(index)
                 index += 1
             # --- admission: policy order, head-of-line, between iterations.
             # A draining group stops admitting; its residents run to completion.
-            while (not state.draining and len(policy)
+            while (not state.draining and len(queue)
                    and len(state.batch) < self.max_batch):
-                head = policy.peek()
-                if state.batch and head.arrival_s > state.free_at:
+                rank = queue.peek()
+                request = arrivals[rank]
+                if state.batch and request.arrival_s > state.free_at:
                     break  # not yet arrived from this server's perspective
                 profile = self.service_profile(
-                    head.workload, head.precision, server=state.node_id)
-                member = runtimes.get(head.request_id)
+                    request.workload, request.precision, server=state.node_id)
+                member = runtimes.get(rank)
                 step_index = member.step_index if member is not None else 0
                 occupancy = sum(m.next_state_bytes for m in state.batch)
                 if state.batch and occupancy + profile.steps[step_index].state_bytes > budget:
                     break  # no room in the KV budget; wait for completions
-                request = policy.pop()
+                queue.pop()
                 admit_t = max(state.free_at, request.arrival_s)
                 self.last_admissions.append((admit_t, state.node_id))
                 # The popped request stays logically queued until admission.
@@ -1286,8 +1328,8 @@ class ServeSimulator:
                 if not state.batch:
                     state.free_at = admit_t
                 if member is None:
-                    member = _RunningRequest(request=request, profile=profile)
-                    runtimes[request.request_id] = member
+                    member = _RunningRequest(request=request, profile=profile, rank=rank)
+                    runtimes[rank] = member
                 else:
                     # A preempted request may resume on a different server;
                     # its step timings come from the server it runs on.
@@ -1301,22 +1343,17 @@ class ServeSimulator:
             if self.preemption:
                 while (len(state.batch) > 1
                        and sum(m.next_state_bytes for m in state.batch) > budget):
-                    victim_request = policy.victim([m.request for m in state.batch])
-                    victim = next(
-                        m for m in state.batch
-                        if m.request.request_id == victim_request.request_id)
+                    victim = max(state.batch, key=_victim_key)
                     state.batch.remove(victim)
                     victim.preemptions += 1
                     victim.restore_pending = True
                     state.preemptions += 1
                     advance(state.free_at)
-                    push(victim.request)
+                    push(victim.rank)
             # --- one iteration: one step per member, (arrival, id) order,
             # per-pipeline-stage local clocks.
             iteration_start = state.free_at
-            members = sorted(
-                state.batch,
-                key=lambda m: (m.request.arrival_s, m.request.request_id))
+            members = sorted(state.batch, key=lambda m: m.rank)
             stage_clock: Dict[int, float] = {}
             for member in members:
                 step = member.profile.steps[member.step_index]
@@ -1337,7 +1374,7 @@ class ServeSimulator:
                 if member.step_index == len(member.profile.steps):
                     state.batch.remove(member)
                     state.completed += 1
-                    del runtimes[member.request.request_id]
+                    del runtimes[member.rank]
                     tokens = member.profile.total_tokens
                     entry = {
                         "tenant": member.request.tenant,
@@ -1368,7 +1405,7 @@ class ServeSimulator:
         if apolicy is not None:
             seg_end = max(
                 entry["finish_s"]
-                for entry in completions[-len(segment):])
+                for entry in completions[-(hi - lo):])
             for state in states:
                 if state.committed:
                     tally["group_seconds"] += seg_end - state.serving_since

@@ -6,8 +6,10 @@ degenerate parity with the request-level loop (DESIGN.md section 8.3), the
 preemption/victim policy, the SLO metrics, and the CLI flags.
 """
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import repro.serve
@@ -17,14 +19,13 @@ from repro.gemm import Precision
 from repro.serve import (
     SCHEDULER_NAMES,
     DEFAULT_KV_BUDGET_BYTES,
-    PriorityScheduler,
     Request,
     ServeSimulator,
-    SLOScheduler,
     llm_tenants,
     poisson_trace,
-    scheduler_by_name,
 )
+from repro.serve.engine import _OrderQueue, policy_order
+from repro.serve.simulator import _RunningRequest, _victim_key
 from repro.workloads import workload_graph_by_name
 
 #: Small LLaMA proxy: one prefill step plus four 8-token decode blocks, so
@@ -65,48 +66,67 @@ class TestPublicSurface:
 
     def test_scheduler_names_round_trip(self):
         for name in SCHEDULER_NAMES:
-            policy = scheduler_by_name(name, estimator=lambda request: 1.0)
-            assert policy.name == name
+            for batching in ("request", "step"):
+                simulator = step_simulator(scheduler=name, batching=batching)
+                assert simulator.scheduler_name == name
+            assert sorted(policy_order(name, 3, service=np.zeros(3), priority=np.zeros(3, np.int64),
+                                       deadline=np.zeros(3)).tolist()) == [0, 1, 2]
 
-    def test_sjf_requires_estimator(self):
-        with pytest.raises(ValueError, match="estimator"):
-            scheduler_by_name("sjf")
+    @pytest.mark.parametrize("batching", ["request", "step"])
+    def test_unknown_name_lists_options(self, batching):
+        with pytest.raises(ValueError, match="scheduler must be one of .*slo, got 'deadline'"):
+            step_simulator(scheduler="deadline", batching=batching)
 
-    def test_unknown_name_lists_options(self):
-        with pytest.raises(ValueError, match="slo"):
-            scheduler_by_name("deadline")
+    @pytest.mark.parametrize("batching", ["request", "step"])
+    def test_names_are_case_sensitive(self, batching):
+        with pytest.raises(ValueError, match="got 'FCFS'"):
+            step_simulator(scheduler="FCFS", batching=batching)
+
+
+def slo_order(requests):
+    """Pop order of the step loop's slo queue over ``requests`` (already in rank order)."""
+    deadline = [r.arrival_s + r.ttft_slo_s if r.ttft_slo_s is not None else float("inf")
+                for r in requests]
+    queue = _OrderQueue(policy_order("slo", len(requests), priority=np.array(
+        [r.priority for r in requests], np.int64), deadline=np.array(deadline)), 0)
+    for rank in range(len(requests)):
+        queue.push(rank)
+    return [requests[queue.pop()].request_id for _ in requests]
 
 
 class TestPolicies:
     def test_priority_serves_higher_tiers_first(self):
-        policy = PriorityScheduler()
-        policy.push(make_request("r0", arrival=0.0, priority=0))
-        policy.push(make_request("r1", arrival=1.0, priority=2))
-        policy.push(make_request("r2", arrival=2.0, priority=1))
-        assert [policy.pop().request_id for _ in range(3)] == ["r1", "r2", "r0"]
+        priority = np.array([0, 2, 1], np.int64)
+        queue = _OrderQueue(policy_order("priority", 3, priority=priority), 0)
+        for rank in range(3):
+            queue.push(rank)
+        assert [queue.pop() for _ in range(3)] == [1, 2, 0]
 
     def test_slo_is_edf_within_a_tier(self):
-        policy = SLOScheduler()
-        policy.push(make_request("r0", arrival=0.0, ttft_slo_s=9.0))
-        policy.push(make_request("r1", arrival=1.0, ttft_slo_s=2.0))
-        policy.push(make_request("r2", arrival=2.0))  # no target: deadline inf
-        assert [policy.pop().request_id for _ in range(3)] == ["r1", "r0", "r2"]
+        requests = [
+            make_request("r0", arrival=0.0, ttft_slo_s=9.0),
+            make_request("r1", arrival=1.0, ttft_slo_s=2.0),
+            make_request("r2", arrival=2.0),  # no target: deadline inf
+        ]
+        assert slo_order(requests) == ["r1", "r0", "r2"]
 
     def test_slo_priority_tier_beats_deadline(self):
-        policy = SLOScheduler()
-        policy.push(make_request("r0", arrival=0.0, ttft_slo_s=0.1))
-        policy.push(make_request("r1", arrival=0.0, priority=1, ttft_slo_s=9.0))
-        assert policy.pop().request_id == "r1"
+        requests = [
+            make_request("r0", arrival=0.0, ttft_slo_s=0.1),
+            make_request("r1", arrival=0.0, priority=1, ttft_slo_s=9.0),
+        ]
+        assert slo_order(requests)[0] == "r1"
 
     def test_victim_is_lowest_tier_then_newest(self):
-        policy = scheduler_by_name("fcfs")
+        profile = step_simulator().service_profile(VARIANT)
         running = [
-            make_request("r0", arrival=0.0, priority=1),
-            make_request("r1", arrival=2.0),
-            make_request("r2", arrival=1.0),
+            _RunningRequest(request=make_request("r0", arrival=0.0, priority=1),
+                            profile=profile, rank=0),
+            _RunningRequest(request=make_request("r1", arrival=2.0), profile=profile, rank=2),
+            _RunningRequest(request=make_request("r2", arrival=1.0), profile=profile, rank=1),
         ]
-        assert policy.victim(running).request_id == "r1"
-        assert policy.victim(running[:1] + running[2:]).request_id == "r2"
+        assert max(running, key=_victim_key).request.request_id == "r1"
+        assert max(running[:1] + running[2:], key=_victim_key).request.request_id == "r2"
 
 
 class TestDeterminism:
@@ -270,3 +290,30 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "SLO" in output
         assert "preemptions" in output
+
+
+class TestStepReportDigests:
+    """Pinned step-mode JSON report bytes, one digest per policy.
+
+    A tight KV budget makes these runs preempt, so every policy's re-push
+    path is exercised; any change to step-mode admission or preemption
+    order moves a digest.
+    """
+
+    COMMAND = ["serve", "--trace", "bursty", "--tenants", "3", "--tenant-mix", "llm",
+               "--seed", "7", "--requests", "120", "--nodes", "4", "--batching", "step",
+               "--max-batch", "4", "--kv-budget", "300", "--utilization", "0.9",
+               "--slo", "0.5:0.05", "--format", "json"]
+
+    @pytest.mark.parametrize("scheduler, digest", [
+        ("fcfs", "7b4791b4fc2d1b642ad878a340510a8d9173a32f20b37c72a3396eeeb29b6650"),
+        ("sjf", "d9aa3697fb5dc51f4217097362722460549e75d97a8a084a8ff63b86bc1ea551"),
+        ("rr", "1093802bfd8e411f61e3c8c8b994c5592a4ddb6f2f31fe516afdec6af3261caf"),
+        ("priority", "006a28ddbe9a804c13e920dc0fb0dff565a3c0ab8bdbe3ba3194f10b024fe9d5"),
+        ("slo", "33d255fcaead78a047cf6e5e9e6f98bb556eee2f93c6c8f42c12796e94201d2b"),
+    ])
+    def test_report_bytes_are_pinned(self, capsys, scheduler, digest):
+        assert main([*self.COMMAND, "--scheduler", scheduler]) == 0
+        output = capsys.readouterr().out
+        assert json.loads(output)["preemptions"] > 0
+        assert hashlib.sha256(output.encode()).hexdigest() == digest

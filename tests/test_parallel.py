@@ -650,7 +650,8 @@ class TestServeParallelism:
         from repro.serve import TenantSpec, poisson_trace
 
         simulator = self._pp_simulator()
-        latency, interval = simulator._service_pair("resnet50", Precision.FP32)
+        profile = simulator.service_profile("resnet50", Precision.FP32)
+        latency, interval = profile.latency_s, profile.interval_s
         assert interval < latency
         specs = [TenantSpec(name="t0", rate_rps=5.0, mix=(("resnet50", 1.0),))]
         trace = poisson_trace(specs, duration_s=8.0, seed=5)
@@ -665,7 +666,7 @@ class TestServeParallelism:
         from repro.serve.trace import Request, RequestTrace
 
         simulator = self._pp_simulator()
-        latency, interval = simulator._service_pair("resnet50", Precision.FP32)
+        latency = simulator.service_profile("resnet50", Precision.FP32).latency_s
         requests = [
             Request(request_id=index, tenant=f"t{index}", workload="resnet50",
                     arrival_s=0.0)

@@ -2,24 +2,31 @@
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import percentile
 from repro.core import MACOSystem, maco_default_config
 from repro.gemm import Precision
 from repro.serve import (
-    FCFSScheduler,
+    SCHEDULER_NAMES,
     Request,
-    RoundRobinScheduler,
     ServeSimulator,
-    SJFScheduler,
     TenantSpec,
     bursty_trace,
     default_tenants,
     poisson_trace,
     replay_trace,
-    scheduler_by_name,
+)
+from repro.serve.engine import (
+    NO_DEADLINE,
+    _FifoQueue,
+    _OrderQueue,
+    _RoundRobinQueue,
+    policy_order,
 )
 
 
@@ -174,40 +181,158 @@ class TestTraces:
 
 
 # ------------------------------------------------------------------- schedulers
+def order_queue(policy, lo=0, **columns):
+    count = len(next(iter(columns.values()))) if columns else 3
+    columns = {name: np.asarray(column) for name, column in columns.items()}
+    return _OrderQueue(policy_order(policy, count, **columns), lo)
+
+
 class TestSchedulers:
     def test_fcfs_pops_in_arrival_order(self):
-        scheduler = FCFSScheduler()
-        for request_id, arrival in [(0, 3.0), (1, 1.0), (2, 2.0)]:
-            scheduler.push(make_request(request_id, arrival=arrival))
-        assert [scheduler.pop().request_id for _ in range(3)] == [1, 2, 0]
+        # Ranks are (arrival, id) order, so FCFS pops ranks ascending however
+        # they were pushed; the request engine's FIFO relies on rank-order pushes.
+        queue = order_queue("fcfs", lo=10)
+        for rank in (12, 10, 11):
+            queue.push(rank)
+        assert [queue.pop() for _ in range(3)] == [10, 11, 12]
+        fifo = _FifoQueue()
+        for rank in (0, 1, 2):
+            fifo.push(rank)
+        assert [fifo.pop() for _ in range(3)] == [0, 1, 2]
 
     def test_sjf_pops_shortest_estimate_first(self):
-        estimates = {"gpt3": 30.0, "bert": 10.0, "resnet50": 1.0}
-        scheduler = SJFScheduler(lambda request: estimates[request.workload])
-        for request_id, workload in [(0, "gpt3"), (1, "resnet50"), (2, "bert")]:
-            scheduler.push(make_request(request_id, workload=workload))
-        assert [scheduler.pop().workload for _ in range(3)] == ["resnet50", "bert", "gpt3"]
+        queue = order_queue("sjf", service=[30.0, 1.0, 10.0])
+        for rank in range(3):
+            queue.push(rank)
+        assert [queue.pop() for _ in range(3)] == [1, 2, 0]
+
+    def test_sjf_ties_fall_back_to_arrival_order(self):
+        queue = order_queue("sjf", service=[2.0, 1.0, 2.0, 1.0])
+        for rank in (3, 2, 1, 0):
+            queue.push(rank)
+        assert [queue.pop() for _ in range(4)] == [1, 3, 0, 2]
 
     def test_round_robin_alternates_tenants(self):
-        scheduler = RoundRobinScheduler()
-        for request_id, tenant in [(0, "a"), (1, "a"), (2, "a"), (3, "b"), (4, "b")]:
-            scheduler.push(make_request(request_id, tenant=tenant, arrival=float(request_id)))
-        order = [scheduler.pop().tenant for _ in range(5)]
-        assert order == ["a", "b", "a", "b", "a"]
+        tenant = [0, 0, 0, 1, 1]
+        queue = _RoundRobinQueue(tenant)
+        for rank in range(5):
+            queue.push(rank)
+        assert [tenant[queue.pop()] for _ in range(5)] == [0, 1, 0, 1, 0]
+
+    def test_round_robin_repush_keeps_arrival_order(self):
+        queue = _RoundRobinQueue([0, 0, 0, 1])
+        for rank in range(4):
+            queue.push(rank)
+        assert [queue.pop() for _ in range(3)] == [0, 3, 1]
+        queue.push(0)  # preempted: back ahead of its later tenant-mate
+        assert queue.peek() == 0
+        assert [queue.pop() for _ in range(2)] == [0, 2]
+
+    def test_order_queue_repush_returns_to_its_place(self):
+        queue = order_queue("priority", priority=[0, 1, 1, 0])
+        for rank in range(4):
+            queue.push(rank)
+        assert queue.pop() == 1
+        assert queue.pop() == 2
+        queue.push(1)
+        assert queue.peek() == 1
+        assert [queue.pop() for _ in range(3)] == [1, 0, 3]
 
     def test_pop_empty_raises(self):
-        for scheduler in (FCFSScheduler(), RoundRobinScheduler()):
+        for queue in (_FifoQueue(), order_queue("fcfs"), _RoundRobinQueue([0])):
             with pytest.raises(IndexError):
-                scheduler.pop()
+                queue.pop()
+        for queue in (order_queue("fcfs"), _RoundRobinQueue([0])):
+            with pytest.raises(IndexError):
+                queue.peek()
 
-    def test_factory(self):
-        assert scheduler_by_name("fcfs").name == "fcfs"
-        assert scheduler_by_name("rr").name == "rr"
-        assert scheduler_by_name("sjf", estimator=lambda r: 1.0).name == "sjf"
-        with pytest.raises(ValueError):
-            scheduler_by_name("sjf")
-        with pytest.raises(ValueError):
-            scheduler_by_name("lifo")
+    def test_policy_order_rejects_unknown_policy(self):
+        with pytest.raises(ValueError, match="unknown scheduling policy 'lifo'"):
+            policy_order("lifo", 3)
+
+    @pytest.mark.parametrize("batching", ["request", "step"])
+    @pytest.mark.parametrize("name", ["lifo", "FCFS", " fcfs"])
+    def test_simulator_rejects_unknown_names(self, batching, name):
+        options = "scheduler must be one of fcfs, sjf, rr, priority, slo, got "
+        with pytest.raises(ValueError, match=options + re.escape(repr(name))):
+            ServeSimulator(config=maco_default_config(num_nodes=1), scheduler=name,
+                           batching=batching)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_queues_match_a_tuple_key_model(self, data):
+        policy = data.draw(st.sampled_from(SCHEDULER_NAMES), label="policy")
+        count = data.draw(st.integers(1, 40), label="count")
+        lo = data.draw(st.integers(0, 4), label="lo")
+        as_int = data.draw(st.booleans(), label="int64 keys")
+        column = st.lists(st.sampled_from([0, 3, 3, 7] if as_int else [0.5, 1.0, 1.0, 1e-9]),
+                          min_size=count, max_size=count)
+        deadlines = st.lists(
+            st.sampled_from([0, 5, 5, NO_DEADLINE] if as_int else [0.0, 0.25, 0.25, math.inf]),
+            min_size=count, max_size=count)
+        service = np.array(data.draw(column, label="service"))
+        priority = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=count,
+                                               max_size=count), label="priority"), np.int64)
+        deadline = np.array(data.draw(deadlines, label="deadline"))
+        tenant = [0] * lo + data.draw(st.lists(st.integers(0, 2), min_size=count,
+                                               max_size=count), label="tenant")
+        keys = {
+            "fcfs": lambda rank: (),
+            "rr": lambda rank: (),
+            "sjf": lambda rank: (service[rank - lo].item(),),
+            "priority": lambda rank: (-priority[rank - lo].item(),),
+            "slo": lambda rank: (-priority[rank - lo].item(), deadline[rank - lo].item()),
+        }[policy]
+        if policy == "rr":
+            queue = _RoundRobinQueue(tenant)
+        else:
+            queue = _OrderQueue(policy_order(policy, count, service=service,
+                                             priority=priority, deadline=deadline), lo)
+        # The model: per-tenant lists sorted by rank served in first-push
+        # rotation for rr, else the smallest Python tuple key + (rank,).
+        queued, popped, rotation, cursor = [], [], [], 0
+        fresh = lo
+
+        def model_pick():
+            if policy != "rr":
+                return min(queued, key=lambda rank: keys(rank) + (rank,)), None
+            for offset in range(len(rotation)):
+                index = (cursor + offset) % len(rotation)
+                mine = [rank for rank in queued if tenant[rank] == rotation[index]]
+                if mine:
+                    return min(mine), index
+            raise AssertionError("model queue is empty")
+
+        operations = st.tuples(st.sampled_from(["push", "push", "repush", "peek", "pop"]),
+                               st.integers(0, 31))
+        ops = data.draw(st.lists(operations, min_size=10, max_size=80), label="ops")
+        # Then drain: every queued rank must come out in model order.
+        for kind, pick in ops + [("pop", 0)] * (count + 1):
+            if kind in ("push", "repush"):
+                if kind == "push" and fresh < lo + count:
+                    rank, fresh = fresh, fresh + 1
+                elif kind == "repush" and popped:
+                    rank = popped.pop(pick % len(popped))
+                else:
+                    continue
+                queue.push(rank)
+                queued.append(rank)
+                if tenant[rank] not in rotation:
+                    rotation.append(tenant[rank])
+            elif not queued:
+                with pytest.raises(IndexError):
+                    queue.peek() if kind == "peek" else queue.pop()
+            else:
+                expected, index = model_pick()
+                if kind == "peek":
+                    assert queue.peek() == expected
+                else:
+                    assert queue.pop() == expected
+                    queued.remove(expected)
+                    popped.append(expected)
+                    if index is not None:
+                        cursor = (index + 1) % len(rotation)
+            assert len(queue) == len(queued)
 
 
 # ------------------------------------------------------------------- simulator
